@@ -59,7 +59,8 @@ def _write_json(document: dict, path: str) -> None:
 def _self_check(seed: int, json_path: str | None) -> int:
     failures = []
     lines = ["self-check: dimension ledger"]
-    for name, measured, expected in oracle.dimension_report():
+    ranks = oracle.dimension_report()
+    for name, measured, expected in ranks:
         status = "ok" if measured == expected else "MISMATCH"
         lines.append(f"  rank {name:<14} = {measured:>2}  expected {expected:>2}  {status}")
         if measured != expected:
@@ -115,7 +116,7 @@ def _self_check(seed: int, json_path: str | None) -> int:
                     "seed": seed,
                     "ranks": {
                         name: {"measured": measured, "expected": expected}
-                        for name, measured, expected in oracle.dimension_report()
+                        for name, measured, expected in ranks
                     },
                     "solves": solves,
                     "agreement": worst_by_op,

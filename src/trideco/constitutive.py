@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gl3
-from .sl3 import EPSILON
+from . import gl3, o3, parts
+from .sl3 import EPSILON, pseudo_scalar_of
 from .tensor import (
     EUCLIDEAN,
     Metric,
@@ -116,38 +116,24 @@ def piezo_decompose(d: PiezoTensor, metric: Metric = EUCLIDEAN) -> PiezoParts:
 
     Every part keeps the last-two-slot symmetry.  The two trace vectors lead
     to the split 18 = (3 + 7) + (3 + 5) into a trace and a traceless piece of
-    both the fully symmetric and the mixed part.
+    both the fully symmetric and the mixed part: the metric splits of
+    ``o3``, which stay inside the pair-symmetric slice.
     """
     t = d.tensor
-    g, g_inv = metric.g, metric.g_inv
     s = gl3.symmetric_part(t)
     n = t - s
-    v = np.einsum("ij,ijk->k", g, t.components)
-    w = np.einsum("ij,kij->k", g, t.components)
-    alpha = (2.0 * v + w) / 3.0
-    k_components = (
-        np.einsum("i,jk->ijk", alpha, g_inv)
-        + np.einsum("j,ik->ijk", alpha, g_inv)
-        + np.einsum("k,ij->ijk", alpha, g_inv)
-    ) / 5.0
-    k_part = Tensor3(k_components, "upper", t.parity)
-    beta = 2.0 / 3.0 * (v - w)
-    m_components = (
-        np.einsum("k,ij->ijk", beta, g_inv)
-        + np.einsum("j,ik->ijk", beta, g_inv)
-        - 2.0 * np.einsum("i,jk->ijk", beta, g_inv)
-    ) / 4.0
-    m_part = Tensor3(m_components, "upper", t.parity)
-    b_mat, b_sym, b_skew = _piezo_matrix(n, metric)
+    k_part, r_part, alpha = o3.symmetric_split(s.components, t.parity, metric)
+    m_part, p_part, beta, _ = o3.mixed_split(n.components, t.parity, metric)
+    b_mat, b_sym, b_skew = _piezo_matrix(n.components, t.parity, metric)
     return PiezoParts(
         s=s,
         n=n,
         k_part=k_part,
-        r_part=s - k_part,
+        r_part=r_part,
         m_part=m_part,
-        p_part=n - m_part,
-        alpha=Vector3(alpha, "upper", t.parity),
-        beta=Vector3(beta, "upper", t.parity),
+        p_part=p_part,
+        alpha=alpha,
+        beta=beta,
         b_mat=b_mat,
         b_sym=b_sym,
         b_skew=b_skew,
@@ -155,9 +141,9 @@ def piezo_decompose(d: PiezoTensor, metric: Metric = EUCLIDEAN) -> PiezoParts:
     )
 
 
-def _piezo_matrix(n: Tensor3, metric: Metric) -> tuple[Tensor2, Tensor2, Tensor2]:
-    parity = (n.parity + 1) % 2
-    raw = np.einsum("ijk,kmj->im", EPSILON, n.components)
+def _piezo_matrix(n: np.ndarray, parity: int, metric: Metric) -> tuple[Tensor2, Tensor2, Tensor2]:
+    parity = (parity + 1) % 2
+    raw = np.einsum("ijk,kmj->im", EPSILON, n)
     low = np.einsum("nm,im->in", metric.g, raw)
     return (
         Tensor2(raw, "lu", parity),
@@ -217,25 +203,26 @@ def hall_decompose(h: HallTensor, metric: Metric = EUCLIDEAN) -> HallParts:
 
     The fully antisymmetric part is one pseudo-scalar; the mixed part splits
     around the single trace covector into a trace piece and a traceless one.
+    Lower indices contract with the inverse metric, so the metric and its
+    inverse trade places in the trace part.
     """
     t = h.tensor
-    g, g_inv = metric.g, metric.g_inv
-    a = gl3.antisymmetric_part(t)
-    n = t - a
-    a_scalar = float(np.einsum("ijk,ijk->", EPSILON, t.components) / 6.0)
-    v = np.einsum("ij,ikj->k", g_inv, t.components)
-    m_components = (
-        np.einsum("j,ik->ijk", v, g) - np.einsum("i,jk->ijk", v, g)
-    ) / 2.0
-    m_part = Tensor3(m_components, "lower", t.parity)
-    a_check, a_sym, a_skew = _hall_matrix(n, metric)
+    x = t.components
+    a = parts.antisymmetric(x)
+    n = x - a
+    m = parts.mixed_trace_part(*parts.trace_vectors(n, metric.g_inv), metric.g)
+    a_check, a_sym, a_skew = _hall_matrix(n, t.parity, metric)
+
+    def tensor(components):
+        return Tensor3(components, "lower", t.parity)
+
     return HallParts(
-        a=a,
-        n=n,
-        m_part=m_part,
-        p_part=n - m_part,
-        a_scalar=a_scalar,
-        v_vec=Vector3(v, "lower", t.parity),
+        a=tensor(a),
+        n=tensor(n),
+        m_part=tensor(m),
+        p_part=tensor(n - m),
+        a_scalar=pseudo_scalar_of(x),
+        v_vec=Vector3(parts.trace(x, metric.g_inv, (0, 2)), "lower", t.parity),
         a_check=a_check,
         a_sym=a_sym,
         a_skew=a_skew,
@@ -243,9 +230,9 @@ def hall_decompose(h: HallTensor, metric: Metric = EUCLIDEAN) -> HallParts:
     )
 
 
-def _hall_matrix(n: Tensor3, metric: Metric) -> tuple[Tensor2, Tensor2, Tensor2]:
-    parity = (n.parity + 1) % 2
-    raw = np.einsum("ijk,mjk->im", EPSILON, n.components)
+def _hall_matrix(n: np.ndarray, parity: int, metric: Metric) -> tuple[Tensor2, Tensor2, Tensor2]:
+    parity = (parity + 1) % 2
+    raw = np.einsum("ijk,mjk->im", EPSILON, n)
     raised = np.einsum("im,mj->ij", raw, metric.g_inv)
     return (
         Tensor2(raw, "ul", parity),

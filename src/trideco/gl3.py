@@ -10,25 +10,36 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .symmetrizers import FULL_ANTISYMMETRIZER, FULL_SYMMETRIZER, MIXED_PAIRS
+from . import parts
+from .symmetrizers import MIXED_PAIRS
 from .tensor import Tensor3
 
 FAMILIES = ("plain", "tilde", "hat")
 
 
+def _like(t: Tensor3, components) -> Tensor3:
+    return Tensor3(components, t.variance, t.parity)
+
+
 def symmetric_part(t: Tensor3) -> Tensor3:
     """Average of all six slot permutations."""
-    return FULL_SYMMETRIZER.apply(t) / 6.0
+    return _like(t, parts.symmetric(t.components))
 
 
 def antisymmetric_part(t: Tensor3) -> Tensor3:
     """Sign-weighted average of all six slot permutations."""
-    return FULL_ANTISYMMETRIZER.apply(t) / 6.0
+    return _like(t, parts.antisymmetric(t.components))
 
 
 def residue_part(t: Tensor3) -> Tensor3:
     """What remains after removing both fully symmetric and antisymmetric parts."""
-    return t - symmetric_part(t) - antisymmetric_part(t)
+    return _like(t, parts.residue(t.components))
+
+
+def check_family(family: str) -> None:
+    """Raise ``ValueError`` unless ``family`` names one of ``FAMILIES``."""
+    if family not in MIXED_PAIRS:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
 def n_split(t: Tensor3, family: str) -> tuple[Tensor3, Tensor3]:
@@ -37,11 +48,8 @@ def n_split(t: Tensor3, family: str) -> tuple[Tensor3, Tensor3]:
     The two outputs always sum to ``residue_part(t)``.  In the plain family
     the first output is symmetric in slots 1,2 and the second in slots 1,3.
     """
-    try:
-        first_op, second_op = MIXED_PAIRS[family]
-    except KeyError:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    return first_op.apply(t) / 3.0, second_op.apply(t) / 3.0
+    check_family(family)
+    return tuple(_like(t, parts.mixed(t.components, family, member)) for member in (0, 1))
 
 
 @dataclass(frozen=True)
@@ -56,11 +64,8 @@ class Gl3Parts:
 
 def decompose(t: Tensor3, family: str) -> Gl3Parts:
     n1, n2 = n_split(t, family)
+    x = t.components
+    s, a = parts.symmetric(x), parts.antisymmetric(x)
     return Gl3Parts(
-        s=symmetric_part(t),
-        a=antisymmetric_part(t),
-        n=residue_part(t),
-        n1=n1,
-        n2=n2,
-        family=family,
+        s=_like(t, s), a=_like(t, a), n=_like(t, x - s - a), n1=n1, n2=n2, family=family
     )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gl3
+from . import parts
 from .tensor import (
     EUCLIDEAN,
     Metric,
@@ -44,22 +44,30 @@ class TraceVectors:
 def trace_vectors(t: Tensor3, metric: Metric = EUCLIDEAN) -> TraceVectors:
     """The three metric contractions over slot pairs (1,2), (1,3), (2,3)."""
     _require_upper(t, "trace_vectors")
-    g = metric.g
-    u = np.einsum("ij,ijk->k", g, t.components)
-    v = np.einsum("ij,ikj->k", g, t.components)
-    w = np.einsum("ij,kij->k", g, t.components)
-    return TraceVectors(
-        u=Vector3(u, "upper", t.parity),
-        v=Vector3(v, "upper", t.parity),
-        w=Vector3(w, "upper", t.parity),
+    u, v, w = parts.trace_vectors(t.components, metric.g)
+    return TraceVectors(*(Vector3(vec, "upper", t.parity) for vec in (u, v, w)))
+
+
+def symmetric_split(x, parity: int, metric: Metric) -> tuple[Tensor3, Tensor3, Vector3]:
+    """``s_trace_split`` of the components ``x``, which it does not check."""
+    alpha = parts.trace(x, metric.g, (0, 1))
+    k = parts.symmetric_trace_part(alpha, metric.g_inv)
+    return (
+        Tensor3(k, "upper", parity),
+        Tensor3(x - k, "upper", parity),
+        Vector3(alpha, "upper", parity),
     )
 
 
-def _pure_trace_sym(alpha: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
+def mixed_split(x, parity: int, metric: Metric) -> tuple[Tensor3, Tensor3, Vector3, Vector3]:
+    """``n_trace_split`` of the components ``x``, which it does not check."""
+    u, v, w = parts.trace_vectors(x, metric.g)
+    m = parts.mixed_trace_part(u, v, w, metric.g_inv)
     return (
-        np.einsum("i,jk->ijk", alpha, g_inv)
-        + np.einsum("j,ik->ijk", alpha, g_inv)
-        + np.einsum("k,ij->ijk", alpha, g_inv)
+        Tensor3(m, "upper", parity),
+        Tensor3(x - m, "upper", parity),
+        Vector3(2.0 / 3.0 * (u - w), "upper", parity),
+        Vector3(2.0 / 3.0 * (v - w), "upper", parity),
     )
 
 
@@ -74,12 +82,10 @@ def s_trace_split(
     exactly what makes the remainder traceless.
     """
     _require_upper(s, "s_trace_split")
-    if max_abs(s.components - gl3.symmetric_part(s).components) > tol * _validation_scale(s):
+    x = s.components
+    if max_abs(x - parts.symmetric(x)) > tol * _validation_scale(s):
         raise SymmetryError("s_trace_split expects a fully symmetric tensor")
-    alpha = np.einsum("ij,ijk->k", metric.g, s.components)
-    k_components = _pure_trace_sym(alpha, metric.g_inv) / 5.0
-    k_part = Tensor3(k_components, "upper", s.parity)
-    return k_part, s - k_part, Vector3(alpha, "upper", s.parity)
+    return symmetric_split(x, s.parity, metric)
 
 
 def n_trace_split(
@@ -94,25 +100,14 @@ def n_trace_split(
     formulas.
     """
     _require_upper(n, "n_trace_split")
+    x = n.components
     scale = _validation_scale(n)
     if (
-        gl3.symmetric_part(n).max_abs() > tol * scale
-        or gl3.antisymmetric_part(n).max_abs() > tol * scale
+        max_abs(parts.symmetric(x)) > tol * scale
+        or max_abs(parts.antisymmetric(x)) > tol * scale
     ):
         raise SymmetryError("n_trace_split expects a mixed-symmetry tensor")
-    g, g_inv = metric.g, metric.g_inv
-    u = np.einsum("ij,ijk->k", g, n.components)
-    v = np.einsum("ij,ikj->k", g, n.components)
-    w = np.einsum("ij,kij->k", g, n.components)
-    m_components = (
-        np.einsum("k,ij->ijk", 2 * u - v - w, g_inv)
-        + np.einsum("i,jk->ijk", 2 * w - u - v, g_inv)
-        + np.einsum("j,ik->ijk", 2 * v - u - w, g_inv)
-    ) / 6.0
-    m_part = Tensor3(m_components, "upper", n.parity)
-    beta = Vector3(2.0 / 3.0 * (u - w), "upper", n.parity)
-    gamma = Vector3(2.0 / 3.0 * (v - w), "upper", n.parity)
-    return m_part, n - m_part, beta, gamma
+    return mixed_split(x, n.parity, metric)
 
 
 def n_family_trace_split(
@@ -125,34 +120,19 @@ def n_family_trace_split(
     """
     _require_upper(n1, "n_family_trace_split")
     _require_upper(n2, "n_family_trace_split")
-    if max_abs(n1.components - np.transpose(n1.components, (1, 0, 2))) > tol * _validation_scale(n1):
+    x1, x2 = n1.components, n2.components
+    if max_abs(x1 - np.transpose(x1, (1, 0, 2))) > tol * _validation_scale(n1):
         raise SymmetryError("first component must be symmetric in slots 1,2")
-    if max_abs(n2.components - np.transpose(n2.components, (2, 1, 0))) > tol * _validation_scale(n2):
+    if max_abs(x2 - np.transpose(x2, (2, 1, 0))) > tol * _validation_scale(n2):
         raise SymmetryError("second component must be symmetric in slots 1,3")
-    g, g_inv = metric.g, metric.g_inv
-    beta = np.einsum("ij,ijk->k", g, n1.components)
-    gamma = np.einsum("ij,ikj->k", g, n2.components)
-    m1 = Tensor3(
-        (
-            2 * np.einsum("k,ij->ijk", beta, g_inv)
-            - np.einsum("i,jk->ijk", beta, g_inv)
-            - np.einsum("j,ik->ijk", beta, g_inv)
-        )
-        / 4.0,
-        "upper",
-        n1.parity,
+    m1 = parts.first_trace_part(x1, metric.g, metric.g_inv)
+    m2 = parts.second_trace_part(x2, metric.g, metric.g_inv)
+    return (
+        Tensor3(m1, "upper", n1.parity),
+        Tensor3(x1 - m1, "upper", n1.parity),
+        Tensor3(m2, "upper", n2.parity),
+        Tensor3(x2 - m2, "upper", n2.parity),
     )
-    m2 = Tensor3(
-        (
-            2 * np.einsum("j,ik->ijk", gamma, g_inv)
-            - np.einsum("i,jk->ijk", gamma, g_inv)
-            - np.einsum("k,ij->ijk", gamma, g_inv)
-        )
-        / 4.0,
-        "upper",
-        n2.parity,
-    )
-    return m1, n1 - m1, m2, n2 - m2
 
 
 def orthogonality_matrix(parts, metric: Metric = EUCLIDEAN) -> np.ndarray:
@@ -182,9 +162,11 @@ class O3Parts:
 
 def decompose(t: Tensor3, metric: Metric = EUCLIDEAN) -> O3Parts:
     """The unique five-part metric decomposition of a generic tensor."""
-    s = gl3.symmetric_part(t)
-    a = gl3.antisymmetric_part(t)
-    n = gl3.residue_part(t)
-    k_part, r_part, alpha = s_trace_split(s, metric)
-    m_part, p_part, beta, gamma = n_trace_split(n, metric)
-    return O3Parts(k_part, r_part, a, m_part, p_part, alpha, beta, gamma)
+    _require_upper(t, "decompose")
+    x = t.components
+    s, a = parts.symmetric(x), parts.antisymmetric(x)
+    k_part, r_part, alpha = symmetric_split(s, t.parity, metric)
+    m_part, p_part, beta, gamma = mixed_split(x - s - a, t.parity, metric)
+    return O3Parts(
+        k_part, r_part, Tensor3(a, "upper", t.parity), m_part, p_part, alpha, beta, gamma
+    )

@@ -2,13 +2,15 @@
 
 Every decomposition map in this package is linear on the 27-dimensional
 component space, so each one can be materialized as an explicit 27x27 matrix
-by evaluating it, as a black box, on the standard basis.  Ranks of those
-matrices check the dimension ledger, matrix algebra checks idempotence and
-complementarity, and least-squares solves recover every closed-form
-coefficient the package ships.  The solves are built from nothing but
-component arrays, the metric and the alternating symbol; they never reuse
-the shipped closed forms, so a transcription error in a formula cannot hide
-from them.
+by evaluating it, as a black box, on the standard basis.  The maps are the
+parts of ``parts.PARTS``: ``materialize`` evaluates a part's form in one
+batched call on the 27 stacked basis tensors, and the dimension ledger is
+the table's dimensions.  Ranks of those matrices check the ledger, matrix
+algebra checks idempotence and complementarity, and least-squares solves
+recover every closed-form coefficient the package ships.  The solves are
+built from nothing but component arrays, the metric and the alternating
+symbol; they never reuse the shipped closed forms, so a transcription error
+in a formula cannot hide from them.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import constitutive, gl3, o3
+from . import gl3
+from .parts import PARTS
 from .sl3 import EPSILON
 from .tensor import EUCLIDEAN, Metric, Tensor3
 
@@ -34,110 +37,8 @@ def _pair_antisymmetrize(arr: np.ndarray) -> np.ndarray:
     return (arr - np.transpose(arr, (1, 0, 2))) / 2.0
 
 
-def _wrap(func, variance="upper"):
-    def on_components(arr: np.ndarray) -> np.ndarray:
-        return func(Tensor3(arr, variance)).components
-
-    return on_components
-
-
-def _operator_table(metric: Metric):
-    def k_of(t):
-        return o3.s_trace_split(gl3.symmetric_part(t), metric)[0]
-
-    def r_of(t):
-        return o3.s_trace_split(gl3.symmetric_part(t), metric)[1]
-
-    def m_of(t):
-        return o3.n_trace_split(gl3.residue_part(t), metric)[0]
-
-    def p_of(t):
-        return o3.n_trace_split(gl3.residue_part(t), metric)[1]
-
-    def family_split(t, slot):
-        n1, n2 = gl3.n_split(t, "plain")
-        return o3.n_family_trace_split(n1, n2, metric)[slot]
-
-    table = {
-        "identity": _wrap(lambda t: t),
-        "symmetric": _wrap(gl3.symmetric_part),
-        "antisymmetric": _wrap(gl3.antisymmetric_part),
-        "residue": _wrap(gl3.residue_part),
-        "k_part": _wrap(k_of),
-        "r_part": _wrap(r_of),
-        "m_part": _wrap(m_of),
-        "p_part": _wrap(p_of),
-        "m1_part": _wrap(lambda t: family_split(t, 0)),
-        "p1_part": _wrap(lambda t: family_split(t, 1)),
-        "m2_part": _wrap(lambda t: family_split(t, 2)),
-        "p2_part": _wrap(lambda t: family_split(t, 3)),
-    }
-    for family in gl3.FAMILIES:
-        table[f"n1_{family}"] = _wrap(lambda t, f=family: gl3.n_split(t, f)[0])
-        table[f"n2_{family}"] = _wrap(lambda t, f=family: gl3.n_split(t, f)[1])
-
-    # restrictions to the pair-symmetric and pair-antisymmetric slices,
-    # materialized through the constitutive code paths
-    def piezo_field(arr: np.ndarray, field: str) -> np.ndarray:
-        wrapped = constitutive.PiezoTensor(Tensor3(_pair_symmetrize(arr)))
-        parts = constitutive.piezo_decompose(wrapped, metric)
-        return getattr(parts, field).components
-
-    def hall_field(arr: np.ndarray, field: str) -> np.ndarray:
-        wrapped = constitutive.HallTensor(Tensor3(_pair_antisymmetrize(arr), "lower"))
-        parts = constitutive.hall_decompose(wrapped, metric)
-        return getattr(parts, field).components
-
-    for name, field in [
-        ("piezo_s", "s"),
-        ("piezo_n", "n"),
-        ("piezo_k", "k_part"),
-        ("piezo_r", "r_part"),
-        ("piezo_m", "m_part"),
-        ("piezo_p", "p_part"),
-    ]:
-        table[name] = lambda arr, f=field: piezo_field(arr, f)
-    for name, field in [
-        ("hall_a", "a"),
-        ("hall_n", "n"),
-        ("hall_m", "m_part"),
-        ("hall_p", "p_part"),
-    ]:
-        table[name] = lambda arr, f=field: hall_field(arr, f)
-    return table
-
-
 #: ranks of every materialized map, as fixed by the dimension bookkeeping
-DIMENSION_LEDGER = {
-    "identity": 27,
-    "symmetric": 10,
-    "antisymmetric": 1,
-    "residue": 16,
-    "n1_plain": 8,
-    "n2_plain": 8,
-    "n1_tilde": 8,
-    "n2_tilde": 8,
-    "n1_hat": 8,
-    "n2_hat": 8,
-    "k_part": 3,
-    "r_part": 7,
-    "m_part": 6,
-    "p_part": 10,
-    "m1_part": 3,
-    "p1_part": 5,
-    "m2_part": 3,
-    "p2_part": 5,
-    "piezo_s": 10,
-    "piezo_n": 8,
-    "piezo_k": 3,
-    "piezo_r": 7,
-    "piezo_m": 3,
-    "piezo_p": 5,
-    "hall_a": 1,
-    "hall_n": 8,
-    "hall_m": 3,
-    "hall_p": 5,
-}
+DIMENSION_LEDGER = {name: part.dim for name, part in PARTS.items()}
 
 
 @dataclass(frozen=True)
@@ -156,17 +57,12 @@ def operator_names() -> tuple[str, ...]:
 
 
 def materialize(op_name: str, metric: Metric = EUCLIDEAN) -> LinearMap27:
-    """Build the 27x27 matrix of a named operation, column by column."""
-    table = _operator_table(metric)
-    if op_name not in table:
+    """Build the 27x27 matrix of a named part; column ``c`` is its image of
+    basis tensor ``c``."""
+    if op_name not in PARTS:
         raise KeyError(f"unknown operator {op_name!r}")
-    op = table[op_name]
-    matrix = np.zeros((27, 27))
-    for col in range(27):
-        basis = np.zeros(27)
-        basis[col] = 1.0
-        matrix[:, col] = op(basis.reshape(3, 3, 3)).reshape(27)
-    return LinearMap27(matrix=matrix, label=op_name)
+    images = PARTS[op_name].form(np.eye(27).reshape(27, 3, 3, 3), metric)
+    return LinearMap27(matrix=images.reshape(27, 27).T, label=op_name)
 
 
 def rank(linear_map: LinearMap27, tol: float = RANK_TOL) -> int:
@@ -401,15 +297,15 @@ def generic_tensor(
 
 def agreement(op_name: str, metric: Metric = EUCLIDEAN, seed: int = 0,
               samples: int = 100) -> float:
-    """Max deviation between the materialized matrix and the live operation."""
+    """Max deviation between the materialized matrix and the part's form
+    evaluated on one tensor at a time."""
     linear_map = materialize(op_name, metric)
-    table = _operator_table(metric)
-    op = table[op_name]
+    form = PARTS[op_name].form
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
         arr = random_components(rng)
-        worst = max(worst, float(np.max(np.abs(linear_map.apply(arr) - op(arr)))))
+        worst = max(worst, float(np.max(np.abs(linear_map.apply(arr) - form(arr, metric)))))
     return worst
 
 

@@ -10,8 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gl3, o3, sl3, so3
-from .constitutive import HallTensor, PiezoTensor, hall_decompose, piezo_decompose
+from . import gl3, o3, parts
+from .constitutive import HallTensor, PiezoTensor
+from .sl3 import pseudo_scalar_of
 from .tensor import EUCLIDEAN, Metric, Tensor3, VarianceError, max_abs, norm
 
 REPORT_SCHEMA = 1
@@ -21,6 +22,41 @@ CLASSIFY_REL_TOL = 1e-9
 
 LEVELS = ("gl3", "o3", "sl3", "so3")
 MODES = ("generic", "piezo", "hall")
+
+_GL3 = (("sym", "symmetric"), ("antisym", "antisymmetric"), ("mixed", "residue"))
+_SYM_TRACE = (("sym_trace", "k_part"), ("sym_traceless", "r_part"), ("antisym", "antisymmetric"))
+
+#: (label, part name) of every reported part, in report order, per report
+#: shape (the level, or the mode for piezo and hall) and mixed-part family
+REPORT_PARTS = {
+    ("gl3", None): _GL3,
+    **{
+        ("gl3", family): _GL3[:2] + (("mixed_1", f"n1_{family}"), ("mixed_2", f"n2_{family}"))
+        for family in gl3.FAMILIES
+    },
+    ("o3", None): _SYM_TRACE + (("mixed_trace", "m_part"), ("mixed_traceless", "p_part")),
+    ("sl3", None): _GL3,
+    ("so3", "plain"): _SYM_TRACE + (
+        ("mixed_1_trace", "m1_part"),
+        ("mixed_1_traceless", "p1_part"),
+        ("mixed_2_trace", "m2_part"),
+        ("mixed_2_traceless", "p2_part"),
+    ),
+    ("piezo", None): (
+        ("sym_trace", "piezo_k"),
+        ("sym_traceless", "piezo_r"),
+        ("mixed_trace", "piezo_m"),
+        ("mixed_traceless", "piezo_p"),
+    ),
+    ("hall", None): (
+        ("antisym", "hall_a"),
+        ("mixed_trace", "hall_m"),
+        ("mixed_traceless", "hall_p"),
+    ),
+}
+
+#: report shapes that carry the pseudo-scalar
+_PSEUDO_SCALAR_SHAPES = ("sl3", "so3", "hall")
 
 
 def classify_symmetry(t: Tensor3, rel_tol: float = CLASSIFY_REL_TOL) -> str:
@@ -34,9 +70,9 @@ def classify_symmetry(t: Tensor3, rel_tol: float = CLASSIFY_REL_TOL) -> str:
         return "fully-symmetric"
     threshold = rel_tol * scale
     c = t.components
-    if max_abs(c - gl3.symmetric_part(t).components) <= threshold:
+    if max_abs(c - parts.symmetric(c)) <= threshold:
         return "fully-symmetric"
-    if max_abs(c - gl3.antisymmetric_part(t).components) <= threshold:
+    if max_abs(c - parts.antisymmetric(c)) <= threshold:
         return "fully-antisymmetric"
     if max_abs(c - np.transpose(c, (0, 2, 1))) <= threshold:
         return "pair-symmetric-jk"
@@ -117,15 +153,6 @@ class DecompositionReport:
         return "\n".join(lines) + "\n"
 
 
-def _entries(named_parts, total_sq: float, metric: Metric) -> list[PartEntry]:
-    entries = []
-    for name, dim, tensor in named_parts:
-        part_norm = norm(tensor, metric)
-        share = part_norm**2 / total_sq if total_sq > 0 else 0.0
-        entries.append(PartEntry(name, dim, part_norm, share, tensor))
-    return entries
-
-
 def build_report(
     t: Tensor3,
     level: str = "so3",
@@ -137,146 +164,51 @@ def build_report(
 
     Generic modes expect upper variance.  The finest level reports the
     plain-family branch splits; at the ``gl3`` level a family is required
-    only when the mixed-part split is requested.
+    only when the mixed-part split is requested.  The piezo and hall modes
+    repair or reject ``t`` as ``PiezoTensor`` and ``HallTensor`` do and
+    report at the ``o3`` level.
     """
     if mode == "piezo":
-        return _piezo_report(t, metric)
-    if mode == "hall":
-        return _hall_report(t, metric)
-    if mode != "generic":
+        t = (t if isinstance(t, PiezoTensor) else PiezoTensor(t)).tensor
+    elif mode == "hall":
+        t = (t if isinstance(t, HallTensor) else HallTensor(t)).tensor
+    elif mode != "generic":
         raise ValueError(f"unknown mode {mode!r}")
-    if t.variance != "upper":
+    elif t.variance != "upper":
         raise VarianceError("generic decomposition expects an upper-variance tensor")
-    if level not in LEVELS:
+    elif level not in LEVELS:
         raise ValueError(f"unknown level {level!r}")
+    elif level == "gl3" and family is not None:
+        gl3.check_family(family)
 
-    total_sq = norm(t, metric) ** 2
-    pseudo = None
-    used_family = None
-
-    if level == "gl3":
-        if family is None:
-            named = [
-                ("sym", 10, gl3.symmetric_part(t)),
-                ("antisym", 1, gl3.antisymmetric_part(t)),
-                ("mixed", 16, gl3.residue_part(t)),
-            ]
-        else:
-            parts = gl3.decompose(t, family)
-            used_family = family
-            named = [
-                ("sym", 10, parts.s),
-                ("antisym", 1, parts.a),
-                ("mixed_1", 8, parts.n1),
-                ("mixed_2", 8, parts.n2),
-            ]
-    elif level == "o3":
-        parts = o3.decompose(t, metric)
-        named = [
-            ("sym_trace", 3, parts.k_part),
-            ("sym_traceless", 7, parts.r_part),
-            ("antisym", 1, parts.a),
-            ("mixed_trace", 6, parts.m_part),
-            ("mixed_traceless", 10, parts.p_part),
-        ]
-    elif level == "sl3":
-        pseudo = sl3.pseudo_scalar(t)
-        named = [
-            ("sym", 10, gl3.symmetric_part(t)),
-            ("antisym", 1, gl3.antisymmetric_part(t)),
-            ("mixed", 16, gl3.residue_part(t)),
-        ]
-    else:  # so3: the finest split, plain-family branches
-        pseudo = sl3.pseudo_scalar(t)
-        used_family = "plain"
-        s = gl3.symmetric_part(t)
-        a = gl3.antisymmetric_part(t)
-        k_part, r_part, _ = o3.s_trace_split(s, metric)
-        n1, n2 = gl3.n_split(t, "plain")
-        m1, p1, m2, p2 = o3.n_family_trace_split(n1, n2, metric)
-        named = [
-            ("sym_trace", 3, k_part),
-            ("sym_traceless", 7, r_part),
-            ("antisym", 1, a),
-            ("mixed_1_trace", 3, m1),
-            ("mixed_1_traceless", 5, p1),
-            ("mixed_2_trace", 3, m2),
-            ("mixed_2_traceless", 5, p2),
-        ]
-
-    entries = _entries(named, total_sq, metric)
-    rebuilt = entries[0].tensor
-    for entry in entries[1:]:
-        rebuilt = rebuilt + entry.tensor
-    return DecompositionReport(
-        level=level,
-        mode="generic",
-        family=used_family,
-        input_summary=_input_summary(t, metric),
-        parts=tuple(entries),
-        gram=o3.orthogonality_matrix([e.tensor for e in entries], metric),
-        residual=max_abs(t.components - rebuilt.components),
-        pseudo_scalar=pseudo,
-    )
-
-
-def _input_summary(t: Tensor3, metric: Metric) -> dict:
-    return {
-        "norm": norm(t, metric),
-        "symmetry_class": classify_symmetry(t),
-        "variance": t.variance,
-        "parity": t.parity,
-    }
-
-
-def _piezo_report(t: Tensor3, metric: Metric) -> DecompositionReport:
-    wrapped = t if isinstance(t, PiezoTensor) else PiezoTensor(t)
-    parts = piezo_decompose(wrapped, metric)
-    source = wrapped.tensor
-    total_sq = norm(source, metric) ** 2
-    named = [
-        ("sym_trace", 3, parts.k_part),
-        ("sym_traceless", 7, parts.r_part),
-        ("mixed_trace", 3, parts.m_part),
-        ("mixed_traceless", 5, parts.p_part),
+    shape = level if mode == "generic" else mode
+    if shape != "gl3":
+        family = "plain" if shape == "so3" else None
+    named = REPORT_PARTS[shape, family]
+    x = t.components
+    tensors = [
+        Tensor3(parts.PARTS[name].form(x, metric), t.variance, t.parity) for _, name in named
     ]
-    entries = _entries(named, total_sq, metric)
-    rebuilt = entries[0].tensor
-    for entry in entries[1:]:
-        rebuilt = rebuilt + entry.tensor
+    gram = o3.orthogonality_matrix(tensors, metric)
+    input_norm = norm(t, metric)
+    total_sq = input_norm**2
+    entries = []
+    for (label, name), tensor, square in zip(named, tensors, np.diag(gram)):
+        part_norm = float(np.sqrt(max(square, 0.0)))
+        share = part_norm**2 / total_sq if total_sq > 0 else 0.0
+        entries.append(PartEntry(label, parts.PARTS[name].dim, part_norm, share, tensor))
     return DecompositionReport(
-        level="o3",
-        mode="piezo",
-        family=None,
-        input_summary=_input_summary(source, metric),
+        level=level if mode == "generic" else "o3",
+        mode=mode,
+        family=family,
+        input_summary={
+            "norm": input_norm,
+            "symmetry_class": classify_symmetry(t),
+            "variance": t.variance,
+            "parity": t.parity,
+        },
         parts=tuple(entries),
-        gram=o3.orthogonality_matrix([e.tensor for e in entries], metric),
-        residual=max_abs(source.components - rebuilt.components),
-        pseudo_scalar=None,
-    )
-
-
-def _hall_report(t: Tensor3, metric: Metric) -> DecompositionReport:
-    wrapped = t if isinstance(t, HallTensor) else HallTensor(t)
-    parts = hall_decompose(wrapped, metric)
-    source = wrapped.tensor
-    total_sq = norm(source, metric) ** 2
-    named = [
-        ("antisym", 1, parts.a),
-        ("mixed_trace", 3, parts.m_part),
-        ("mixed_traceless", 5, parts.p_part),
-    ]
-    entries = _entries(named, total_sq, metric)
-    rebuilt = entries[0].tensor
-    for entry in entries[1:]:
-        rebuilt = rebuilt + entry.tensor
-    return DecompositionReport(
-        level="o3",
-        mode="hall",
-        family=None,
-        input_summary=_input_summary(source, metric),
-        parts=tuple(entries),
-        gram=o3.orthogonality_matrix([e.tensor for e in entries], metric),
-        residual=max_abs(source.components - rebuilt.components),
-        pseudo_scalar=parts.a_scalar,
+        gram=gram,
+        residual=max_abs(x - sum(tensor.components for tensor in tensors)),
+        pseudo_scalar=pseudo_scalar_of(x) if shape in _PSEUDO_SCALAR_SHAPES else None,
     )

@@ -45,7 +45,13 @@ def pseudo_scalar(t: Tensor3) -> float:
     """Full contraction with the alternating symbol, normalized to 1 on it."""
     if t.variance != "upper":
         raise VarianceError("pseudo_scalar expects an upper-variance tensor")
-    return float(np.einsum("ijk,ijk->", EPSILON, t.components) / 6.0)
+    return pseudo_scalar_of(t.components)
+
+
+def pseudo_scalar_of(components: np.ndarray) -> float:
+    """``pseudo_scalar`` of raw components; the alternating symbol's entries
+    are the same for either variance."""
+    return float(np.einsum("ijk,ijk->", EPSILON, components) / 6.0)
 
 
 @dataclass(frozen=True)

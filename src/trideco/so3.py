@@ -14,20 +14,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gl3, o3, sl3
+from . import parts, sl3
 from .sl3 import EPSILON, Sl3Parts
-from .tensor import EUCLIDEAN, Metric, Tensor2, Tensor3, TensorError, Vector3
-
-# Proportionality constants between the axial vectors of the skew matrix
-# parts and the trace vectors of the mixed components.  Frozen from the
-# solver run in scripts/derive_constants.py; metric independence is part of
-# what that script demonstrates.
-AXIAL_FROM_FIRST_TRACE = -1.5
-AXIAL_FROM_SECOND_TRACE = 1.5
+from .tensor import EUCLIDEAN, Metric, Tensor2, Tensor3, TensorError, VarianceError, Vector3
 
 # Skew matrix parts written back in terms of the trace vectors.
 FIRST_SKEW_COEFF = -0.75
 SECOND_SKEW_COEFF = 0.75
+
+# Proportionality constants between the axial vectors of the skew matrix
+# parts and the trace vectors of the mixed components: contracting
+# eps . vector with eps gives twice the vector.  scripts/derive_constants.py
+# checks both against the solver, for more than one metric.
+AXIAL_FROM_FIRST_TRACE = 2 * FIRST_SKEW_COEFF
+AXIAL_FROM_SECOND_TRACE = 2 * SECOND_SKEW_COEFF
 
 
 @dataclass(frozen=True)
@@ -96,15 +96,16 @@ class So3Representation:
 
 
 def so3_representation(t: Tensor3, metric: Metric = EUCLIDEAN) -> So3Representation:
-    s = gl3.symmetric_part(t)
-    n = gl3.residue_part(t)
-    _, r_part, alpha = o3.s_trace_split(s, metric)
-    contractions = sl3.epsilon_contractions(n)
+    # the traceless contraction matrices of t are those of its mixed part
+    contractions = sl3.epsilon_contractions(t)
     split = so3_split(contractions, metric)
+    s = parts.symmetric(t.components)
+    alpha = parts.trace(s, metric.g, (0, 1))
+    r_part = s - parts.symmetric_trace_part(alpha, metric.g_inv)
     return So3Representation(
-        alpha=alpha,
-        r_part=r_part,
-        a_scalar=sl3.pseudo_scalar(t),
+        alpha=Vector3(alpha, "upper", t.parity),
+        r_part=Tensor3(r_part, "upper", t.parity),
+        a_scalar=contractions.a_scalar,
         e_mat=split.e_mat,
         beta_vec=split.beta_vec,
         f_mat=split.f_mat,
@@ -134,14 +135,11 @@ def second_component_from(f_mat: Tensor2, gamma_vec: Vector3,
 
 def reassemble(rep: So3Representation, metric: Metric = EUCLIDEAN) -> Tensor3:
     """Invert ``so3_representation``; exact up to rounding."""
-    g_inv = metric.g_inv
-    k_components = (
-        np.einsum("i,jk->ijk", rep.alpha.components, g_inv)
-        + np.einsum("j,ik->ijk", rep.alpha.components, g_inv)
-        + np.einsum("k,ij->ijk", rep.alpha.components, g_inv)
-    ) / 5.0
-    s = Tensor3(k_components, "upper") + rep.r_part
-    a = rep.a_scalar * Tensor3(EPSILON, "upper")
+    if (rep.r_part.variance, rep.r_part.parity) != ("upper", 0):
+        raise VarianceError("reassemble expects a proper upper-variance r_part")
     n1 = first_component_from(rep.e_mat, rep.beta_vec, metric)
     n2 = second_component_from(rep.f_mat, rep.gamma_vec, metric)
-    return s + a + n1 + n2
+    k = parts.symmetric_trace_part(rep.alpha.components, metric.g_inv)
+    return Tensor3(
+        k + rep.r_part.components + rep.a_scalar * EPSILON + n1.components + n2.components
+    )

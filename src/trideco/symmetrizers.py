@@ -9,8 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .permutations import S3, S3_INDEX, Perm
-from .tensor import Tensor3, permute
+from .tensor import Tensor3
 
 
 @dataclass(frozen=True)
@@ -83,10 +85,16 @@ class GroupAlgebraElement:
         return GroupAlgebraElement(tuple(coeffs))
 
     def apply(self, t: Tensor3) -> Tensor3:
-        out = Tensor3.zeros(t.variance, t.parity)
+        return Tensor3(self.on_components(t.components), t.variance, t.parity)
+
+    def on_components(self, x: np.ndarray) -> np.ndarray:
+        """The same combination on raw components of shape ``(..., 3, 3, 3)``."""
+        batch = tuple(range(x.ndim - 3))
+        out = np.zeros(x.shape)
         for position, coefficient in enumerate(self.coeffs):
             if coefficient != 0.0:
-                out = out + coefficient * permute(t, S3[position])
+                axes = tuple(len(batch) + a for a in S3[position].transpose_axes())
+                out = out + coefficient * np.transpose(x, batch + axes)
         return out
 
     def __str__(self) -> str:

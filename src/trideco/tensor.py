@@ -156,11 +156,6 @@ class Tensor2(_TaggedValue):
             raise VarianceError("symmetric part needs both slots at equal variance")
         return self._with((self.components + self.components.T) / 2.0)
 
-    def skew(self) -> "Tensor2":
-        if self.variance not in ("uu", "ll"):
-            raise VarianceError("skew part needs both slots at equal variance")
-        return self._with((self.components - self.components.T) / 2.0)
-
 
 @dataclass(frozen=True, eq=False)
 class Vector3(_TaggedValue):

@@ -84,12 +84,6 @@ def read_metric(path) -> Metric:
         raise InputFormatError(f"{path}: {exc}") from exc
 
 
-def write_metric(metric: Metric, path) -> None:
-    Path(path).write_text(
-        json.dumps({"g": metric.g.tolist()}, indent=2) + "\n", encoding="utf-8"
-    )
-
-
 def voigt_to_tensor(table) -> PiezoTensor:
     """Expand a 3x6 Voigt table to the full pair-symmetric tensor."""
     table = _as_array(table, (3, 6), "voigt table")

@@ -2,10 +2,71 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from trideco import gl3, oracle
-from trideco.tensor import Metric
+from trideco import constitutive, gl3, o3, oracle, so3
+from trideco.tensor import EUCLIDEAN, Metric, Tensor3
 
 DIAG_METRIC = Metric(np.diag([2.0, 1.0, 1.0]))
+METRICS = [EUCLIDEAN, DIAG_METRIC]
+METRIC_IDS = ["euclid", "diag211"]
+
+
+def _piezo(x, metric):
+    d = constitutive.PiezoTensor(Tensor3((x + np.transpose(x, (0, 2, 1))) / 2.0))
+    return constitutive.piezo_decompose(d, metric)
+
+
+def _hall(x, metric):
+    h = constitutive.HallTensor(Tensor3((x - np.transpose(x, (1, 0, 2))) / 2.0, "lower"))
+    return constitutive.hall_decompose(h, metric)
+
+
+def _o3_split(x, metric, position):
+    t = Tensor3(x)
+    if position < 2:
+        return o3.s_trace_split(gl3.symmetric_part(t), metric)[position]
+    return o3.n_trace_split(gl3.residue_part(t), metric)[position - 2]
+
+
+def _family_split(x, metric, position):
+    return o3.n_family_trace_split(*gl3.n_split(Tensor3(x), "plain"), metric)[position]
+
+
+#: public calls returning each ledger part of the components ``x``
+PUBLIC_CALLS = {
+    "identity": [lambda x, m: so3.reassemble(so3.so3_representation(Tensor3(x), m), m)],
+    "symmetric": [lambda x, m: gl3.symmetric_part(Tensor3(x)),
+                  lambda x, m: gl3.decompose(Tensor3(x), "plain").s],
+    "antisymmetric": [lambda x, m: gl3.antisymmetric_part(Tensor3(x)),
+                      lambda x, m: o3.decompose(Tensor3(x), m).a],
+    "residue": [lambda x, m: gl3.residue_part(Tensor3(x)),
+                lambda x, m: gl3.decompose(Tensor3(x), "hat").n],
+    **{
+        f"n{member + 1}_{family}": [
+            lambda x, m, f=family, i=member: gl3.n_split(Tensor3(x), f)[i],
+            lambda x, m, f=family, i=member: getattr(gl3.decompose(Tensor3(x), f), f"n{i + 1}"),
+        ]
+        for family in gl3.FAMILIES
+        for member in (0, 1)
+    },
+    **{
+        name: [lambda x, m, i=position: _o3_split(x, m, i),
+               lambda x, m, f=name: getattr(o3.decompose(Tensor3(x), m), f)]
+        for position, name in enumerate(["k_part", "r_part", "m_part", "p_part"])
+    },
+    **{
+        name: [lambda x, m, i=position: _family_split(x, m, i)]
+        for position, name in enumerate(["m1_part", "p1_part", "m2_part", "p2_part"])
+    },
+    **{
+        f"piezo_{suffix}": [lambda x, m, f=field: getattr(_piezo(x, m), f)]
+        for suffix, field in [("s", "s"), ("n", "n"), ("k", "k_part"), ("r", "r_part"),
+                              ("m", "m_part"), ("p", "p_part")]
+    },
+    **{
+        f"hall_{suffix}": [lambda x, m, f=field: getattr(_hall(x, m), f)]
+        for suffix, field in [("a", "a"), ("n", "n"), ("m", "m_part"), ("p", "p_part")]
+    },
+}
 
 
 class TestMaterialize:
@@ -138,6 +199,20 @@ class TestAgreement:
     def test_agreement_under_non_euclidean_metric(self):
         for name in ("m_part", "piezo_p", "hall_m"):
             assert oracle.agreement(name, DIAG_METRIC, seed=1, samples=50) < 1e-12
+
+
+class TestPublicCalls:
+    def test_every_ledger_part_has_a_public_call(self):
+        assert set(PUBLIC_CALLS) == set(oracle.DIMENSION_LEDGER)
+
+    @pytest.mark.parametrize("metric", METRICS, ids=METRIC_IDS)
+    @pytest.mark.parametrize("name", list(PUBLIC_CALLS))
+    def test_public_call_agrees_with_its_matrix(self, rng, metric, name):
+        linear_map = oracle.materialize(name, metric)
+        for _ in range(5):
+            x = rng.uniform(-1.0, 1.0, (3, 3, 3))
+            for call in PUBLIC_CALLS[name]:
+                assert_allclose(call(x, metric).components, linear_map.apply(x), atol=1e-12)
 
 
 class TestSampling:

@@ -1,10 +1,35 @@
 import numpy as np
 import pytest
 
-from trideco import gl3, report, sl3, tensorio
-from trideco.tensor import Tensor3
+from trideco import gl3, oracle, report, sl3, tensorio
+from trideco.tensor import EUCLIDEAN, Metric, Tensor3
 
-from helpers import unit_pair_antisymmetric, unit_tensor
+from helpers import unit_pair_antisymmetric, unit_pair_symmetric, unit_tensor
+
+DIAG_METRIC = Metric(np.diag([2.0, 1.0, 1.0]))
+
+_GL3 = [("sym", "symmetric"), ("antisym", "antisymmetric")]
+_O3 = [("sym_trace", "k_part"), ("sym_traceless", "r_part"), ("antisym", "antisymmetric")]
+
+#: (level, family, mode) of every report shape, with its (label, operator) pairs
+REPORT_SHAPES = [
+    (("gl3", None, "generic"), _GL3 + [("mixed", "residue")]),
+    *[
+        (("gl3", family, "generic"),
+         _GL3 + [("mixed_1", f"n1_{family}"), ("mixed_2", f"n2_{family}")])
+        for family in gl3.FAMILIES
+    ],
+    (("o3", None, "generic"), _O3 + [("mixed_trace", "m_part"), ("mixed_traceless", "p_part")]),
+    (("sl3", None, "generic"), _GL3 + [("mixed", "residue")]),
+    (("so3", None, "generic"), _O3 + [
+        ("mixed_1_trace", "m1_part"), ("mixed_1_traceless", "p1_part"),
+        ("mixed_2_trace", "m2_part"), ("mixed_2_traceless", "p2_part"),
+    ]),
+    (("o3", None, "piezo"), [("sym_trace", "piezo_k"), ("sym_traceless", "piezo_r"),
+                             ("mixed_trace", "piezo_m"), ("mixed_traceless", "piezo_p")]),
+    (("o3", None, "hall"), [("antisym", "hall_a"), ("mixed_trace", "hall_m"),
+                            ("mixed_traceless", "hall_p")]),
+]
 
 
 class TestClassify:
@@ -64,3 +89,20 @@ class TestBuildReport:
         assert "not mutually orthogonal" in result.render_text()
         o3_result = report.build_report(unit_tensor(rng), level="o3")
         assert "not mutually orthogonal" not in o3_result.render_text()
+
+
+class TestReportParts:
+    @pytest.mark.parametrize("metric", [EUCLIDEAN, DIAG_METRIC], ids=["euclid", "diag211"])
+    @pytest.mark.parametrize(
+        "shape,expected", REPORT_SHAPES, ids=[f"{s[0]}-{s[1]}-{s[2]}" for s, _ in REPORT_SHAPES]
+    )
+    def test_parts_match_the_oracle_and_the_ledger(self, rng, metric, shape, expected):
+        level, family, mode = shape
+        t = {"generic": unit_tensor, "piezo": unit_pair_symmetric,
+             "hall": unit_pair_antisymmetric}[mode](rng)
+        result = report.build_report(t, level=level, family=family, mode=mode, metric=metric)
+        assert [p.name for p in result.parts] == [label for label, _ in expected]
+        for part, (_, name) in zip(result.parts, expected):
+            applied = oracle.materialize(name, metric).apply(t.components)
+            assert np.max(np.abs(part.tensor.components - applied)) <= 1e-12
+            assert part.dim == oracle.DIMENSION_LEDGER[name]
