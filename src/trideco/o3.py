@@ -20,8 +20,8 @@ from .tensor import (
     Tensor3,
     VarianceError,
     Vector3,
+    _contraction_matrix,
     max_abs,
-    scalar_product,
 )
 
 
@@ -138,14 +138,14 @@ def n_family_trace_split(
 def orthogonality_matrix(parts, metric: Metric = EUCLIDEAN) -> np.ndarray:
     """Gram matrix of scalar products between the given tensors."""
     parts = list(parts)
-    gram = np.zeros((len(parts), len(parts)))
-    for row, a in enumerate(parts):
-        for col, b in enumerate(parts):
-            if col < row:
-                gram[row, col] = gram[col, row]
-            else:
-                gram[row, col] = scalar_product(a, b, metric)
-    return gram
+    if not parts:
+        return np.zeros((0, 0))
+    if any(t.variance != parts[0].variance for t in parts):
+        raise VarianceError("scalar product requires equal variance")
+    x = np.array([t.components for t in parts]).reshape(len(parts), 27)
+    gram = x @ _contraction_matrix(parts[0].variance, metric) @ x.T
+    # the two triangles round differently; their mean is exactly symmetric
+    return (gram + gram.T) / 2.0
 
 
 @dataclass(frozen=True)

@@ -141,13 +141,14 @@ class DecompositionReport:
         lines.append("")
         if "pseudo_scalar" in doc:
             lines.append(f"pseudo-scalar: {doc['pseudo_scalar']:.12g}")
-        off_diag = 0.0
+        off_diag = scale = 0.0
         gram = np.asarray(doc["gram"])
         if gram.size:
             off_diag = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
+            scale = float(np.max(np.diag(gram)))
         lines.append(
             f"gram off-diagonal max: {off_diag:.3e}"
-            + ("" if off_diag <= tol else "  (parts not mutually orthogonal)")
+            + ("" if off_diag <= tol * scale else "  (parts not mutually orthogonal)")
         )
         lines.append(f"reconstruction residual: {doc['residual']:.3e}")
         return "\n".join(lines) + "\n"

@@ -15,6 +15,14 @@ from .permutations import S3, S3_INDEX, Perm
 from .tensor import Tensor3
 
 
+#: row ``p`` lists, for each flattened component of the result, the flattened
+#: component of the input that the slot action of ``S3[p]`` moves there
+_SLOT_ACTION = np.stack(
+    [np.transpose(np.arange(27).reshape(3, 3, 3), perm.transpose_axes()).reshape(27)
+     for perm in S3]
+)
+
+
 @dataclass(frozen=True)
 class GroupAlgebraElement:
     """Formal real linear combination of slot permutations.
@@ -89,13 +97,8 @@ class GroupAlgebraElement:
 
     def on_components(self, x: np.ndarray) -> np.ndarray:
         """The same combination on raw components of shape ``(..., 3, 3, 3)``."""
-        batch = tuple(range(x.ndim - 3))
-        out = np.zeros(x.shape)
-        for position, coefficient in enumerate(self.coeffs):
-            if coefficient != 0.0:
-                axes = tuple(len(batch) + a for a in S3[position].transpose_axes())
-                out = out + coefficient * np.transpose(x, batch + axes)
-        return out
+        flat = x.reshape(x.shape[:-3] + (27,))
+        return (np.asarray(self.coeffs) @ flat[..., _SLOT_ACTION]).reshape(x.shape)
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -254,12 +254,19 @@ def permute(t: Tensor3, sigma: Perm | str) -> Tensor3:
     return t._with(np.transpose(t.components, perm.transpose_axes()))
 
 
+def _contraction_matrix(variance: str, metric: Metric) -> np.ndarray:
+    """The three-slot metric contraction as a 27x27 matrix on flattened
+    components: ``g`` contracts upper indices, ``g_inv`` lower ones."""
+    g = metric.g if variance == "upper" else metric.g_inv
+    return np.einsum("im,jn,kp->ijkmnp", g, g, g).reshape(27, 27)
+
+
 def scalar_product(a: Tensor3, b: Tensor3, metric: Metric = EUCLIDEAN) -> float:
     """Full three-slot contraction of ``a`` and ``b`` through the metric."""
     if a.variance != b.variance:
         raise VarianceError("scalar product requires equal variance")
-    g = metric.g if a.variance == "upper" else metric.g_inv
-    return float(np.einsum("ijk,mnp,im,jn,kp->", a.components, b.components, g, g, g))
+    contraction = _contraction_matrix(a.variance, metric)
+    return float(a.components.reshape(27) @ contraction @ b.components.reshape(27))
 
 
 def norm(t: Tensor3, metric: Metric = EUCLIDEAN) -> float:

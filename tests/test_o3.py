@@ -25,6 +25,16 @@ METRICS = [EUCLIDEAN, DIAG_METRIC]
 METRIC_IDS = ["euclid", "diag211"]
 
 
+def _random_spd(seed):
+    a = np.random.default_rng(seed).uniform(-1.0, 1.0, (3, 3))
+    g = a @ a.T + 0.5 * np.eye(3)
+    return Metric((g + g.T) / 2.0)
+
+
+GRAM_METRICS = METRICS + [_random_spd(11)]
+GRAM_METRIC_IDS = METRIC_IDS + ["random_spd"]
+
+
 def naive_traces(t, g):
     u = np.zeros(3)
     v = np.zeros(3)
@@ -224,6 +234,26 @@ class TestOrthogonality:
     def test_variance_mismatch(self, rng):
         with pytest.raises(VarianceError):
             o3.orthogonality_matrix([rand_tensor(rng, "upper"), rand_tensor(rng, "lower")])
+
+    def test_empty_list(self):
+        assert o3.orthogonality_matrix([]).shape == (0, 0)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+    @pytest.mark.parametrize("variance", ["upper", "lower"])
+    @pytest.mark.parametrize("metric", GRAM_METRICS, ids=GRAM_METRIC_IDS)
+    def test_matches_pairwise_scalar_products(self, rng, metric, variance, scale):
+        tensors = [Tensor3(rng.uniform(-1.0, 1.0, (3, 3, 3)) * scale, variance)
+                   for _ in range(7)]
+        gram = o3.orthogonality_matrix(tensors, metric)
+        pairwise = np.array([[scalar_product(a, b, metric) for b in tensors] for a in tensors])
+        # upper indices contract with the metric, lower ones with its inverse
+        g = metric.g if variance == "upper" else metric.g_inv
+        x = np.array([t.components for t in tensors])
+        contracted = np.einsum("aijk,bmnp,im,jn,kp->ab", x, x, g, g, g)
+        bound = 1e-12 * np.max(np.diag(gram))
+        assert np.max(np.abs(gram - pairwise)) <= bound
+        assert np.max(np.abs(gram - contracted)) <= bound
+        assert np.array_equal(gram, gram.T)
 
 
 class TestFiveWayDecomposition:

@@ -85,10 +85,12 @@ class TestBuildReport:
             report.build_report(unit_tensor(rng), mode="magnetic")
 
     def test_text_rendering_mentions_nonorthogonality(self, rng):
-        result = report.build_report(unit_tensor(rng), level="so3")
-        assert "not mutually orthogonal" in result.render_text()
-        o3_result = report.build_report(unit_tensor(rng), level="o3")
-        assert "not mutually orthogonal" not in o3_result.render_text()
+        # the flag is relative to the largest Gram diagonal, so it holds at any scale
+        for scale in (1.0, 1e8, 1e-150):
+            result = report.build_report(unit_tensor(rng) * scale, level="so3")
+            assert "not mutually orthogonal" in result.render_text()
+            o3_result = report.build_report(unit_tensor(rng) * scale, level="o3")
+            assert "not mutually orthogonal" not in o3_result.render_text()
 
 
 class TestReportParts:

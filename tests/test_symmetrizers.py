@@ -15,6 +15,7 @@ from trideco.symmetrizers import (
     gl3_subspace_dimension,
     hook_dimension_s3,
 )
+from trideco.permutations import S3
 from trideco.tensor import Tensor3
 
 from helpers import rand_tensor
@@ -71,6 +72,39 @@ class TestComposition:
             (1, "e"), (1, "(12)"), (1, "(13)"), (1, "(23)"), (1, "(123)"), (1, "(321)")
         )
         assert rebuilt == FULL_SYMMETRIZER
+
+
+def transpose_sum(op, x):
+    """The slot action as an explicit sum of scaled transposes, one per coefficient."""
+    batch = tuple(range(x.ndim - 3))
+    out = np.zeros(x.shape)
+    for coefficient, perm in zip(op.coeffs, S3):
+        axes = tuple(len(batch) + a for a in perm.transpose_axes())
+        out = out + coefficient * np.transpose(x, batch + axes)
+    return out
+
+
+GATHER_CASES = {
+    **{f"perm{perm.label}": element((1, perm)) for perm in S3},
+    "full_symmetrizer": FULL_SYMMETRIZER,
+    "full_antisymmetrizer": FULL_ANTISYMMETRIZER,
+    **{f"{family}_{i + 1}": pair[i] for family, pair in MIXED_PAIRS.items() for i in (0, 1)},
+    "random": GroupAlgebraElement(tuple(np.random.default_rng(3).uniform(-1.0, 1.0, 6))),
+}
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 3), (5, 3, 3, 3), (2, 4, 3, 3, 3)],
+                         ids=["single", "batch5", "batch2x4"])
+@pytest.mark.parametrize("name", list(GATHER_CASES))
+def test_on_components_matches_the_transpose_sum(rng, name, shape):
+    op = GATHER_CASES[name]
+    x = rng.uniform(-1.0, 1.0, shape)
+    out = op.on_components(x)
+    assert out.shape == shape
+    # the two sums add up to six terms in different orders; scale the rounding
+    # bound by the coefficients' absolute sum (6 for the full symmetrizer)
+    bound = 1e-15 * np.max(np.abs(x)) * sum(abs(c) for c in op.coeffs)
+    assert np.max(np.abs(out - transpose_sum(op, x))) <= bound
 
 
 class TestApply:

@@ -1,4 +1,5 @@
-"""The committed formula notes and the constant checks of scripts/derive_constants.py."""
+"""The committed formula notes, the constant checks of scripts/derive_constants.py
+and the callables the benchmark's traced runs wrap."""
 
 import importlib.util
 from pathlib import Path
@@ -11,16 +12,14 @@ from trideco.tensor import EUCLIDEAN
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _load_derive_constants():
-    spec = importlib.util.spec_from_file_location(
-        "derive_constants", ROOT / "scripts" / "derive_constants.py"
-    )
+def _load_by_path(name, relative_path):
+    spec = importlib.util.spec_from_file_location(name, ROOT / relative_path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-derive_constants = _load_derive_constants()
+derive_constants = _load_by_path("derive_constants", "scripts/derive_constants.py")
 
 
 def test_formula_notes_file_is_current():
@@ -36,3 +35,14 @@ def test_derived_constants_match_the_shipped_ones(metric):
     piezo, hall = derive_constants.skew_parametrizations(metric)
     assert abs(piezo - constitutive.PIEZO_SKEW_FROM_TRACE) < 1e-10
     assert abs(hall - constitutive.HALL_SKEW_FROM_TRACE) < 1e-10
+
+
+def test_every_traced_callable_exists():
+    # a traced run wraps these by name, so renaming or removing one breaks it
+    spans = _load_by_path("perfbench_spans", "perfbench/spans.py")
+    missing = [
+        f"{getattr(owner, '__name__', owner)}.{attribute}"
+        for owner, attribute, _ in spans.trideco_targets()
+        if not callable(getattr(owner, attribute, None))
+    ]
+    assert not missing
