@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gl3, o3, parts
-from .sl3 import EPSILON, pseudo_scalar_of
+from .sl3 import contraction, from_matrix, pseudo_scalar_of
 from .tensor import (
     EUCLIDEAN,
     Metric,
@@ -38,6 +38,10 @@ INGEST_SILENT = 1e-13
 PIEZO_RECONSTRUCTION_COEFF = 1.0 / 3.0
 #: skew part of the pair-symmetric matrix in terms of the trace vector
 PIEZO_SKEW_FROM_TRACE = -0.75
+#: the reconstruction as ``sl3.from_matrix`` weights: its two terms are the
+#: second and third of ``from_matrix``, since eps_kpj = -eps_pkj and
+#: eps_kpm = eps_pmk
+_PIEZO_WEIGHTS = (0.0, -PIEZO_RECONSTRUCTION_COEFF, PIEZO_RECONSTRUCTION_COEFF)
 
 #: weights rebuilding the pair-antisymmetric mixed part from its matrix
 HALL_RECONSTRUCTION_COEFFS = (1.0 / 3.0, -1.0 / 3.0, 2.0 / 3.0)
@@ -143,8 +147,8 @@ def piezo_decompose(d: PiezoTensor, metric: Metric = EUCLIDEAN) -> PiezoParts:
 
 def _piezo_matrix(n: np.ndarray, parity: int, metric: Metric) -> tuple[Tensor2, Tensor2, Tensor2]:
     parity = (parity + 1) % 2
-    raw = np.einsum("ijk,kmj->im", EPSILON, n)
-    low = np.einsum("nm,im->in", metric.g, raw)
+    raw = contraction(n, "b")
+    low = raw @ metric.g
     return (
         Tensor2(raw, "lu", parity),
         Tensor2((low + low.T) / 2.0, "ll", parity),
@@ -159,11 +163,7 @@ def piezo_matrix_rep(parts: PiezoParts) -> Tensor2:
 
 def piezo_n_from_matrix(b_mat: Tensor2) -> Tensor3:
     """Invert the matrix representation of the pair-symmetric mixed part."""
-    b = b_mat.components
-    components = PIEZO_RECONSTRUCTION_COEFF * (
-        np.einsum("pm,kpj->kmj", b, EPSILON) + np.einsum("pj,kpm->kmj", b, EPSILON)
-    )
-    return Tensor3(components, "upper", parity=0)
+    return Tensor3(from_matrix(b_mat.components, _PIEZO_WEIGHTS), "upper", parity=0)
 
 
 def piezo_parts_from_matrix(parts: PiezoParts) -> tuple[Tensor3, Tensor3]:
@@ -175,11 +175,7 @@ def piezo_parts_from_matrix(parts: PiezoParts) -> tuple[Tensor3, Tensor3]:
     g_inv = parts.metric.g_inv
 
     def rebuild(half: Tensor2) -> Tensor3:
-        components = PIEZO_RECONSTRUCTION_COEFF * (
-            np.einsum("mr,kpj,pr->kmj", g_inv, EPSILON, half.components)
-            + np.einsum("jr,kpm,pr->kmj", g_inv, EPSILON, half.components)
-        )
-        return Tensor3(components, "upper", parity=0)
+        return Tensor3(from_matrix(half.components @ g_inv, _PIEZO_WEIGHTS), "upper", parity=0)
 
     return rebuild(parts.b_skew), rebuild(parts.b_sym)
 
@@ -232,8 +228,8 @@ def hall_decompose(h: HallTensor, metric: Metric = EUCLIDEAN) -> HallParts:
 
 def _hall_matrix(n: np.ndarray, parity: int, metric: Metric) -> tuple[Tensor2, Tensor2, Tensor2]:
     parity = (parity + 1) % 2
-    raw = np.einsum("ijk,mjk->im", EPSILON, n)
-    raised = np.einsum("im,mj->ij", raw, metric.g_inv)
+    raw = contraction(n, "a")
+    raised = raw @ metric.g_inv
     return (
         Tensor2(raw, "ul", parity),
         Tensor2((raised + raised.T) / 2.0, "uu", parity),
@@ -248,27 +244,15 @@ def hall_matrix_rep(parts: HallParts) -> Tensor2:
 
 def hall_n_from_matrix(a_check: Tensor2) -> Tensor3:
     """Invert the matrix representation of the pair-antisymmetric mixed part."""
-    x, y, z = HALL_RECONSTRUCTION_COEFFS
-    a = a_check.components
-    components = (
-        x * np.einsum("pk,pmj->kmj", a, EPSILON)
-        + y * np.einsum("pm,pkj->kmj", a, EPSILON)
-        + z * np.einsum("pj,pmk->kmj", a, EPSILON)
-    )
+    components = from_matrix(a_check.components, HALL_RECONSTRUCTION_COEFFS)
     return Tensor3(components, "lower", parity=0)
 
 
 def hall_parts_from_matrix(parts: HallParts) -> tuple[Tensor3, Tensor3]:
     """Trace and traceless mixed pieces rebuilt from the matrix halves."""
     g = parts.metric.g
-    x, y, z = HALL_MATRIX_WEIGHTS
 
     def rebuild(half: Tensor2) -> Tensor3:
-        components = (
-            x * np.einsum("pr,kr,pmj->kmj", half.components, g, EPSILON)
-            + y * np.einsum("pr,mr,pkj->kmj", half.components, g, EPSILON)
-            + z * np.einsum("pr,jr,pmk->kmj", half.components, g, EPSILON)
-        )
-        return Tensor3(components, "lower", parity=0)
+        return Tensor3(from_matrix(half.components @ g, HALL_MATRIX_WEIGHTS), "lower", parity=0)
 
     return rebuild(parts.a_skew), rebuild(parts.a_sym)

@@ -13,7 +13,7 @@ import numpy as np
 from . import gl3, o3, parts
 from .constitutive import HallTensor, PiezoTensor
 from .sl3 import pseudo_scalar_of
-from .tensor import EUCLIDEAN, Metric, Tensor3, VarianceError, max_abs, norm
+from .tensor import EUCLIDEAN, Metric, Tensor3, VarianceError, max_abs
 
 REPORT_SCHEMA = 1
 
@@ -190,8 +190,10 @@ def build_report(
     tensors = [
         Tensor3(parts.PARTS[name].form(x, metric), t.variance, t.parity) for _, name in named
     ]
-    gram = o3.orthogonality_matrix(tensors, metric)
-    input_norm = norm(t, metric)
+    # the input's own row gives its norm from the same contraction matrix
+    gram = o3.orthogonality_matrix(tensors + [t], metric)
+    input_norm = float(np.sqrt(max(gram[-1, -1], 0.0)))
+    gram = gram[:-1, :-1]
     total_sq = input_norm**2
     entries = []
     for (label, name), tensor, square in zip(named, tensors, np.diag(gram)):

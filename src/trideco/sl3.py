@@ -5,6 +5,10 @@ is equivalent to a pair of traceless 3x3 pseudo-matrices obtained by
 contracting two slots with the alternating symbol.  The inverse maps ship with
 solver-verified coefficients; see FORMULA_NOTES.txt at the repository root for
 the cross-check record.
+
+The kernels ``contraction``, ``from_matrix``, ``axial`` and ``from_axial``
+hold the library's contractions with the alternating symbol; ``so3`` and
+``constitutive`` call them with their own weights and matrices.
 """
 
 from __future__ import annotations
@@ -35,6 +39,36 @@ EPSILON = _build_epsilon()
 #: defining contractions (a hand derivation circulates with -1/2; the solver
 #: value is -1/3, see FORMULA_NOTES.txt)
 RECONSTRUCTION_COEFF = -1.0 / 3.0
+
+#: einsum subscripts contracting two slots of ``x`` with the alternating
+#: symbol, leaving one slot of each: the ``a``, ``b`` and ``c`` matrices
+_CONTRACTION = {"a": "ijk,...mjk->...im", "b": "ijk,...kmj->...im", "c": "ijk,...jkm->...im"}
+#: einsum subscripts of the three terms rebuilding a tensor from a matrix
+_FROM_MATRIX = ("...pk,pmj->...kmj", "...pm,pkj->...kmj", "...pj,pmk->...kmj")
+
+
+def contraction(x: np.ndarray, which: str) -> np.ndarray:
+    """The ``which`` (``"a"``, ``"b"`` or ``"c"``) contraction of ``x`` with
+    the alternating symbol, a matrix."""
+    return np.einsum(_CONTRACTION[which], EPSILON, x)
+
+
+def from_matrix(mat: np.ndarray, weights: tuple[float, float, float]) -> np.ndarray:
+    """The tensor ``sum(w * einsum(term, mat, EPSILON))`` over the three
+    matrix-to-tensor terms; zero weights are skipped."""
+    return sum(
+        w * np.einsum(term, mat, EPSILON) for term, w in zip(_FROM_MATRIX, weights) if w
+    )
+
+
+def axial(skew: np.ndarray) -> np.ndarray:
+    """The vector ``eps_ijk skew_ij`` of a (skew) matrix."""
+    return np.einsum("ijk,...ij->...k", EPSILON, skew)
+
+
+def from_axial(v: np.ndarray) -> np.ndarray:
+    """The skew matrix ``eps_imj v_j``; ``axial(from_axial(v))`` is ``2 v``."""
+    return np.einsum("imj,...j->...im", EPSILON, v)
 
 
 def epsilon_tensor(variance: str = "upper") -> Tensor3:
@@ -77,11 +111,7 @@ def epsilon_contractions(t: Tensor3) -> Sl3Parts:
         raise VarianceError("epsilon_contractions expects an upper-variance tensor")
     a_scalar = pseudo_scalar(t)
     parity = (t.parity + 1) % 2
-    raw = {
-        "a": np.einsum("ijk,mjk->im", EPSILON, t.components),
-        "b": np.einsum("ijk,kmj->im", EPSILON, t.components),
-        "c": np.einsum("ijk,jkm->im", EPSILON, t.components),
-    }
+    raw = {key: contraction(t.components, key) for key in _CONTRACTION}
     shift = 2.0 * a_scalar * np.eye(3)
     mats = {key: Tensor2(value, "lu", parity) for key, value in raw.items()}
     checks = {key: Tensor2(value - shift, "lu", parity) for key, value in raw.items()}
@@ -106,21 +136,15 @@ def _require_traceless_pseudo(mat: Tensor2, what: str, tol: float) -> None:
 def reconstruct_n1(b_check: Tensor2, tol: float = 1e-9) -> Tensor3:
     """Rebuild the slots-1,2-symmetric mixed component from its matrix."""
     _require_traceless_pseudo(b_check, "reconstruct_n1", tol)
-    b = b_check.components
-    components = RECONSTRUCTION_COEFF * (
-        np.einsum("pk,pmj->kmj", b, EPSILON) + np.einsum("pm,pkj->kmj", b, EPSILON)
-    )
-    return Tensor3(components, "upper", parity=0)
+    c = RECONSTRUCTION_COEFF
+    return Tensor3(from_matrix(b_check.components, (c, c, 0.0)), "upper", parity=0)
 
 
 def reconstruct_n2(c_check: Tensor2, tol: float = 1e-9) -> Tensor3:
     """Rebuild the slots-1,3-symmetric mixed component from its matrix."""
     _require_traceless_pseudo(c_check, "reconstruct_n2", tol)
-    c = c_check.components
-    components = RECONSTRUCTION_COEFF * (
-        np.einsum("pk,pmj->kmj", c, EPSILON) + np.einsum("pj,pmk->kmj", c, EPSILON)
-    )
-    return Tensor3(components, "upper", parity=0)
+    c = RECONSTRUCTION_COEFF
+    return Tensor3(from_matrix(c_check.components, (c, 0.0, c)), "upper", parity=0)
 
 
 def reconstruct_n(b_check: Tensor2, c_check: Tensor2, tol: float = 1e-9) -> Tensor3:

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import parts, sl3
 from .sl3 import EPSILON, Sl3Parts
 from .tensor import EUCLIDEAN, Metric, Tensor2, Tensor3, TensorError, VarianceError, Vector3
@@ -46,10 +44,6 @@ class So3Parts:
             raise TensorError("vector parts must be proper")
 
 
-def _lower_second(mat: Tensor2, metric: Metric) -> np.ndarray:
-    return np.einsum("nm,im->in", metric.g, mat.components)
-
-
 def so3_split(parts: Sl3Parts, metric: Metric = EUCLIDEAN) -> So3Parts:
     """Lower the mixed-part matrices and separate symmetric and skew pieces.
 
@@ -58,14 +52,14 @@ def so3_split(parts: Sl3Parts, metric: Metric = EUCLIDEAN) -> So3Parts:
     mixed components, so the returned vectors are the trace vectors
     themselves.
     """
-    b_low = _lower_second(parts.b_check, metric)
-    c_low = _lower_second(parts.c_check, metric)
+    b_low = parts.b_check.components @ metric.g
+    c_low = parts.c_check.components @ metric.g
     matrix_parity = parts.b_check.parity
     vector_parity = (matrix_parity + 1) % 2
     e_mat = Tensor2((b_low + b_low.T) / 2.0, "ll", matrix_parity)
     f_mat = Tensor2((c_low + c_low.T) / 2.0, "ll", matrix_parity)
-    b_axial = np.einsum("ijk,ij->k", EPSILON, (b_low - b_low.T) / 2.0)
-    c_axial = np.einsum("ijk,ij->k", EPSILON, (c_low - c_low.T) / 2.0)
+    b_axial = sl3.axial((b_low - b_low.T) / 2.0)
+    c_axial = sl3.axial((c_low - c_low.T) / 2.0)
     beta_vec = Vector3(b_axial / AXIAL_FROM_FIRST_TRACE, "upper", vector_parity)
     gamma_vec = Vector3(c_axial / AXIAL_FROM_SECOND_TRACE, "upper", vector_parity)
     return So3Parts(e_mat=e_mat, f_mat=f_mat, beta_vec=beta_vec, gamma_vec=gamma_vec)
@@ -115,10 +109,8 @@ def so3_representation(t: Tensor3, metric: Metric = EUCLIDEAN) -> So3Representat
 
 def _mixed_matrix(sym_low: Tensor2, skew_coeff: float, vec: Vector3,
                   metric: Metric) -> Tensor2:
-    low = sym_low.components + skew_coeff * np.einsum(
-        "imj,j->im", EPSILON, vec.components
-    )
-    return Tensor2(np.einsum("in,nm->im", low, metric.g_inv), "lu", parity=1)
+    low = sym_low.components + skew_coeff * sl3.from_axial(vec.components)
+    return Tensor2(low @ metric.g_inv, "lu", parity=1)
 
 
 def first_component_from(e_mat: Tensor2, beta_vec: Vector3,

@@ -273,20 +273,21 @@ def norm(t: Tensor3, metric: Metric = EUCLIDEAN) -> float:
     return float(np.sqrt(max(scalar_product(t, t, metric), 0.0)))
 
 
+def _on_slots(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The matrix ``m`` applied to each of the three slots of ``x``."""
+    return np.einsum("im,jn,kp,mnp->ijk", m, m, m, x)
+
+
 def lower_indices(t: Tensor3, metric: Metric = EUCLIDEAN) -> Tensor3:
     if t.variance != "upper":
         raise VarianceError("lower_indices expects an upper-variance tensor")
-    g = metric.g
-    components = np.einsum("im,jn,kp,mnp->ijk", g, g, g, t.components)
-    return Tensor3(components, "lower", t.parity)
+    return Tensor3(_on_slots(metric.g, t.components), "lower", t.parity)
 
 
 def raise_indices(t: Tensor3, metric: Metric = EUCLIDEAN) -> Tensor3:
     if t.variance != "lower":
         raise VarianceError("raise_indices expects a lower-variance tensor")
-    g = metric.g_inv
-    components = np.einsum("im,jn,kp,mnp->ijk", g, g, g, t.components)
-    return Tensor3(components, "upper", t.parity)
+    return Tensor3(_on_slots(metric.g_inv, t.components), "upper", t.parity)
 
 
 def _parity_factor(value, r: BasisTransform) -> float:
@@ -300,29 +301,18 @@ def transform(value: Tensor3 | Tensor2 | Vector3, r: BasisTransform):
     inverse; pseudo-tensors pick up an extra ``sign(det R)`` factor.
     """
     factor = _parity_factor(value, r)
-    fwd, inv = r.matrix, r.inverse
+    # one matrix per slot, by the first letter of the slot's variance tag
+    mats = {"u": r.matrix, "l": r.inverse.T}
     if isinstance(value, Tensor3):
-        if value.variance == "upper":
-            new = np.einsum("ai,bj,ck,ijk->abc", fwd, fwd, fwd, value.components)
-        else:
-            new = np.einsum("ia,jb,kc,ijk->abc", inv, inv, inv, value.components)
-        return value._with(factor * new)
-    if isinstance(value, Tensor2):
-        mats = {"u": ("ai", fwd), "l": ("ia", inv)}
-        spec_a, mat_a = mats[value.variance[0]]
-        spec_b, mat_b = mats[value.variance[1]]
-        spec_b = spec_b.replace("a", "b").replace("i", "j")
-        new = np.einsum(
-            f"{spec_a},{spec_b},ij->ab", mat_a, mat_b, value.components
-        )
-        return value._with(factor * new)
-    if isinstance(value, Vector3):
-        if value.variance == "upper":
-            new = fwd @ value.components
-        else:
-            new = inv.T @ value.components
-        return value._with(factor * new)
-    raise TypeError(f"cannot transform {type(value).__name__}")
+        new = _on_slots(mats[value.variance[0]], value.components)
+    elif isinstance(value, Tensor2):
+        a, b = (mats[letter] for letter in value.variance)
+        new = a @ value.components @ b.T
+    elif isinstance(value, Vector3):
+        new = mats[value.variance[0]] @ value.components
+    else:
+        raise TypeError(f"cannot transform {type(value).__name__}")
+    return value._with(factor * new)
 
 
 def transform_metric(metric: Metric, r: BasisTransform) -> Metric:

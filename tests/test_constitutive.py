@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,6 +10,7 @@ from trideco.tensor import (
     EUCLIDEAN,
     Metric,
     SymmetryError,
+    Tensor2,
     Tensor3,
     VarianceError,
     permute,
@@ -378,3 +381,72 @@ class TestVoigt:
     def test_shape_validation(self):
         with pytest.raises(tensorio.InputFormatError):
             tensorio.voigt_to_tensor(np.zeros((3, 5)))
+
+
+class TestExplicitTerms:
+    """The matrix-to-tensor maps against their terms written out here, one
+    einsum per term, fed matrices that are not traceless: a weight
+    rearrangement valid only on traceless matrices shows up there."""
+
+    def test_piezo_n_from_matrix(self, rng):
+        b = rng.uniform(-1, 1, (3, 3))
+        expected = cons.PIEZO_RECONSTRUCTION_COEFF * (
+            np.einsum("pm,kpj->kmj", b, sl3.EPSILON) + np.einsum("pj,kpm->kmj", b, sl3.EPSILON)
+        )
+        actual = cons.piezo_n_from_matrix(Tensor2(b, "lu", 1)).components
+        assert np.max(np.abs(actual - expected)) <= 1e-14 * np.abs(b).max()
+
+    def test_hall_n_from_matrix(self, rng):
+        a = rng.uniform(-1, 1, (3, 3))
+        x, y, z = cons.HALL_RECONSTRUCTION_COEFFS
+        expected = (
+            x * np.einsum("pk,pmj->kmj", a, sl3.EPSILON)
+            + y * np.einsum("pm,pkj->kmj", a, sl3.EPSILON)
+            + z * np.einsum("pj,pmk->kmj", a, sl3.EPSILON)
+        )
+        actual = cons.hall_n_from_matrix(Tensor2(a, "ul", 1)).components
+        assert np.max(np.abs(actual - expected)) <= 1e-14 * np.abs(a).max()
+
+    @pytest.mark.parametrize("metric", METRICS, ids=METRIC_IDS)
+    def test_piezo_parts_from_matrix(self, rng, metric):
+        skew, sym = rng.uniform(-1, 1, (2, 3, 3))
+        parts = dataclasses.replace(
+            cons.piezo_decompose(piezo(rng), metric),
+            b_skew=Tensor2(skew, "ll", 1),
+            b_sym=Tensor2(sym, "ll", 1),
+        )
+        g_inv = metric.g_inv
+
+        def rebuild(half):
+            return cons.PIEZO_RECONSTRUCTION_COEFF * (
+                np.einsum("mr,kpj,pr->kmj", g_inv, sl3.EPSILON, half)
+                + np.einsum("jr,kpm,pr->kmj", g_inv, sl3.EPSILON, half)
+            )
+
+        scale = max(np.abs(skew).max(), np.abs(sym).max())
+        for actual, expected in zip(cons.piezo_parts_from_matrix(parts),
+                                    (rebuild(skew), rebuild(sym))):
+            assert np.max(np.abs(actual.components - expected)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("metric", METRICS, ids=METRIC_IDS)
+    def test_hall_parts_from_matrix(self, rng, metric):
+        skew, sym = rng.uniform(-1, 1, (2, 3, 3))
+        parts = dataclasses.replace(
+            cons.hall_decompose(hall(rng), metric),
+            a_skew=Tensor2(skew, "uu", 1),
+            a_sym=Tensor2(sym, "uu", 1),
+        )
+        g = metric.g
+        x, y, z = cons.HALL_MATRIX_WEIGHTS
+
+        def rebuild(half):
+            return (
+                x * np.einsum("pr,kr,pmj->kmj", half, g, sl3.EPSILON)
+                + y * np.einsum("pr,mr,pkj->kmj", half, g, sl3.EPSILON)
+                + z * np.einsum("pr,jr,pmk->kmj", half, g, sl3.EPSILON)
+            )
+
+        scale = max(np.abs(skew).max(), np.abs(sym).max())
+        for actual, expected in zip(cons.hall_parts_from_matrix(parts),
+                                    (rebuild(skew), rebuild(sym))):
+            assert np.max(np.abs(actual.components - expected)) <= 1e-14 * scale

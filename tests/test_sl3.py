@@ -1,11 +1,12 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from trideco import gl3, oracle, sl3
-from trideco.tensor import Tensor2, Tensor3, VarianceError, transform
+from trideco import gl3, oracle, sl3, so3
+from trideco.tensor import EUCLIDEAN, Metric, Tensor2, Tensor3, VarianceError, Vector3, transform
 
 from helpers import rand_tensor, random_reflection, random_sl, unit_tensor
 
@@ -167,3 +168,64 @@ class TestGroupBehaviour:
         assert sl3.pseudo_scalar(transform(t, r)) == pytest.approx(
             -sl3.pseudo_scalar(t), abs=1e-12
         )
+
+
+METRICS = [EUCLIDEAN, Metric(np.diag([2.0, 1.0, 1.0]))]
+METRIC_IDS = ["euclid", "diag211"]
+EPS = sl3.EPSILON
+
+
+def traceless(rng):
+    m = rng.uniform(-1, 1, (3, 3))
+    return m - np.trace(m) / 3.0 * np.eye(3)
+
+
+def assert_matches(actual, expected, scale):
+    assert np.max(np.abs(actual - expected)) <= 1e-14 * scale
+
+
+class TestExplicitTerms:
+    """Each matrix-to-tensor map and ``so3_split`` against its terms written
+    out here, one einsum per term."""
+
+    def test_reconstruct_branches(self, rng):
+        c = sl3.RECONSTRUCTION_COEFF
+        b, m = traceless(rng), traceless(rng)
+        n1 = c * (np.einsum("pk,pmj->kmj", b, EPS) + np.einsum("pm,pkj->kmj", b, EPS))
+        n2 = c * (np.einsum("pk,pmj->kmj", m, EPS) + np.einsum("pj,pmk->kmj", m, EPS))
+        assert_matches(sl3.reconstruct_n1(Tensor2(b, "lu", 1)).components, n1, np.abs(b).max())
+        assert_matches(sl3.reconstruct_n2(Tensor2(m, "lu", 1)).components, n2, np.abs(m).max())
+
+    @pytest.mark.parametrize("metric", METRICS, ids=METRIC_IDS)
+    def test_so3_split(self, rng, metric):
+        b, c = rng.uniform(-1, 1, (2, 3, 3))
+        parts = dataclasses.replace(
+            sl3.epsilon_contractions(Tensor3.zeros()),
+            b_check=Tensor2(b, "lu", 1),
+            c_check=Tensor2(c, "lu", 1),
+        )
+        split = so3.so3_split(parts, metric)
+        scale = max(np.abs(b).max(), np.abs(c).max())
+        for mat, axial_coeff, sym, vec in (
+            (b, so3.AXIAL_FROM_FIRST_TRACE, split.e_mat, split.beta_vec),
+            (c, so3.AXIAL_FROM_SECOND_TRACE, split.f_mat, split.gamma_vec),
+        ):
+            low = np.einsum("nm,im->in", metric.g, mat)
+            assert_matches(sym.components, (low + low.T) / 2.0, scale)
+            axial = np.einsum("ijk,ij->k", EPS, (low - low.T) / 2.0)
+            assert_matches(vec.components, axial / axial_coeff, scale)
+
+    @pytest.mark.parametrize("metric", METRICS, ids=METRIC_IDS)
+    def test_components_from_matrix_and_vector(self, rng, metric):
+        split = so3.so3_split(sl3.epsilon_contractions(rand_tensor(rng)), metric)
+        c = sl3.RECONSTRUCTION_COEFF
+        for build, sym, skew_coeff, last in (
+            (so3.first_component_from, split.e_mat, so3.FIRST_SKEW_COEFF, "pm,pkj->kmj"),
+            (so3.second_component_from, split.f_mat, so3.SECOND_SKEW_COEFF, "pj,pmk->kmj"),
+        ):
+            v = rng.uniform(-1, 1, 3)
+            low = sym.components + skew_coeff * np.einsum("imj,j->im", EPS, v)
+            mat = np.einsum("in,nm->im", low, metric.g_inv)
+            expected = c * (np.einsum("pk,pmj->kmj", mat, EPS) + np.einsum(last, mat, EPS))
+            actual = build(sym, Vector3(v), metric).components
+            assert_matches(actual, expected, max(sym.max_abs(), np.abs(v).max()))

@@ -170,6 +170,10 @@ class TestTransform:
         t = rand_tensor(rng, "lower")
         r = BasisTransform(np.diag([2.0, 1.0, 1.0]))
         assert transform(t, r)[0, 0, 0] == pytest.approx(t[0, 0, 0] / 8.0)
+        r = BasisTransform(rng.uniform(-1, 1, (3, 3)) + 2 * np.eye(3))
+        inv = r.inverse
+        expected = np.einsum("ia,jb,kc,ijk->abc", inv, inv, inv, t.components)
+        assert_allclose(transform(t, r).components, expected, rtol=0, atol=1e-13)
 
     def test_scalar_product_invariant_under_simultaneous_transform(self, rng):
         a, b = rand_tensor(rng), rand_tensor(rng)
@@ -194,11 +198,13 @@ class TestTransform:
         assert out.allclose(eps, 1e-12)
 
     def test_mixed_tensor2_law(self, rng):
-        mat = Tensor2(rng.uniform(-1, 1, (3, 3)), "lu")
         r = BasisTransform(rng.uniform(-1, 1, (3, 3)) + 2 * np.eye(3))
-        out = transform(mat, r)
-        expected = r.inverse.T @ mat.components @ r.matrix.T
-        assert_allclose(out.components, expected, atol=1e-13)
+        for variance in ("uu", "ll", "lu", "ul"):
+            mat = Tensor2(rng.uniform(-1, 1, (3, 3)), variance)
+            out = transform(mat, r)
+            a, b = (r.matrix if letter == "u" else r.inverse.T for letter in variance)
+            expected = a @ mat.components @ b.T
+            assert_allclose(out.components, expected, atol=1e-13, err_msg=variance)
 
     def test_vector_laws(self, rng):
         r = BasisTransform(rng.uniform(-1, 1, (3, 3)) + 2 * np.eye(3))

@@ -1,6 +1,8 @@
-"""The committed formula notes, the constant checks of scripts/derive_constants.py
-and the callables the benchmark's traced runs wrap."""
+"""The committed formula notes, the constant checks of scripts/derive_constants.py,
+the oracle's independence from the shipped closed forms and the callables the
+benchmark's traced runs wrap."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -35,6 +37,23 @@ def test_derived_constants_match_the_shipped_ones(metric):
     piezo, hall = derive_constants.skew_parametrizations(metric)
     assert abs(piezo - constitutive.PIEZO_SKEW_FROM_TRACE) < 1e-10
     assert abs(hall - constitutive.HALL_SKEW_FROM_TRACE) < 1e-10
+
+
+def test_reconstruction_solves_use_no_shipped_closed_form():
+    # the solves check the shipped formulas only while they do not reuse them
+    tree = ast.parse((ROOT / "src/trideco/oracle.py").read_text(encoding="utf-8"))
+    (solve,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "solve_reconstruction"
+    ]
+    used = {node.id for node in ast.walk(solve) if isinstance(node, ast.Name)}
+    used |= {node.attr for node in ast.walk(solve) if isinstance(node, ast.Attribute)}
+    forbidden = {
+        "contraction", "from_matrix", "axial", "from_axial", "PARTS", "constitutive",
+        "RECONSTRUCTION_COEFF", "PIEZO_RECONSTRUCTION_COEFF", "HALL_RECONSTRUCTION_COEFFS",
+        "HALL_MATRIX_WEIGHTS",
+    }
+    assert not used & forbidden
 
 
 def test_every_traced_callable_exists():
