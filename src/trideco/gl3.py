@@ -33,7 +33,8 @@ def antisymmetric_part(t: Tensor3) -> Tensor3:
 
 def residue_part(t: Tensor3) -> Tensor3:
     """What remains after removing both fully symmetric and antisymmetric parts."""
-    return _like(t, parts.residue(t.components))
+    x = t.components
+    return _like(t, parts.residue(x, parts.symmetric(x), parts.antisymmetric(x)))
 
 
 def check_family(family: str) -> None:
@@ -67,5 +68,10 @@ def decompose(t: Tensor3, family: str) -> Gl3Parts:
     x = t.components
     s, a = parts.symmetric(x), parts.antisymmetric(x)
     return Gl3Parts(
-        s=_like(t, s), a=_like(t, a), n=_like(t, x - s - a), n1=n1, n2=n2, family=family
+        s=_like(t, s),
+        a=_like(t, a),
+        n=_like(t, parts.residue(x, s, a)),
+        n1=n1,
+        n2=n2,
+        family=family,
     )

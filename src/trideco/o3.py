@@ -20,7 +20,6 @@ from .tensor import (
     Tensor3,
     VarianceError,
     Vector3,
-    _contraction_matrix,
     max_abs,
 )
 
@@ -143,7 +142,7 @@ def orthogonality_matrix(parts, metric: Metric = EUCLIDEAN) -> np.ndarray:
     if any(t.variance != parts[0].variance for t in parts):
         raise VarianceError("scalar product requires equal variance")
     x = np.array([t.components for t in parts]).reshape(len(parts), 27)
-    gram = x @ _contraction_matrix(parts[0].variance, metric) @ x.T
+    gram = x @ metric.contraction_matrix(parts[0].variance) @ x.T
     # the two triangles round differently; their mean is exactly symmetric
     return (gram + gram.T) / 2.0
 

@@ -1,17 +1,24 @@
-"""Every invariant part, written once as a closed form on plain arrays.
+"""Every invariant part, written once as a rule on the part it refines.
 
-``PARTS`` maps each part name to the dimension of its subspace and its form
-``form(x, metric)``.  ``x`` holds components of shape ``(..., 3, 3, 3)``;
-leading axes are a batch.  Each form is linear in ``x``, takes the metric
-verbatim and returns a new array of the same shape.  The public functions of
-``gl3``, ``o3``, ``so3`` and ``constitutive``, the report and the oracle's
-operator matrices all evaluate these forms; the oracle's least-squares
-solves never do.
+``PARTS`` maps each part name to the dimension of its subspace and a rule
+that computes the part from the parts it refines: the symmetric part from
+the input, the trace piece ``k_part`` from the symmetric part, the traceless
+rest as ``r_part = symmetric - k_part``, the residue as ``x - s - a``, and
+so on down the hierarchy.  ``evaluate(names, x, metric)`` computes any list
+of parts of one ``x`` through a dictionary kept for that call, so each part
+on the way, named or refined, is computed once; ``Part.form(x, metric)`` is
+the same evaluation for one part.  ``x`` holds components of shape
+``(..., 3, 3, 3)``; leading axes are a batch.  Each part is linear in ``x``,
+takes the metric verbatim and is a new array of the same shape, except
+``identity``, which is ``x`` itself.  The report and the oracle's operator
+matrices evaluate these rules, and the public functions of ``gl3``, ``o3``,
+``so3`` and ``constitutive`` compute through the same helpers; the oracle's
+least-squares solves never evaluate the rules.
 
 The pair-symmetric (piezo) and pair-antisymmetric (Hall) parts are the
-generic ones restricted to their slice.  Hall tensors carry lower indices,
-so their traces contract with the inverse metric and their pure-trace
-pieces are built from the metric itself.
+generic ones restricted to their slice, which is itself a rule outside the
+ledger.  Hall tensors carry lower indices, so their traces contract with the
+inverse metric and their pure-trace pieces are built from the metric itself.
 """
 
 from __future__ import annotations
@@ -52,8 +59,10 @@ def antisymmetric(x: np.ndarray) -> np.ndarray:
     return FULL_ANTISYMMETRIZER.on_components(x) / 6.0
 
 
-def residue(x: np.ndarray) -> np.ndarray:
-    return x - symmetric(x) - antisymmetric(x)
+def residue(x: np.ndarray, s: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """What remains of ``x`` beyond its symmetric part ``s`` and its
+    antisymmetric part ``a``."""
+    return x - s - a
 
 
 def mixed(x: np.ndarray, family: str, member: int) -> np.ndarray:
@@ -104,77 +113,100 @@ def second_trace_part(n2: np.ndarray, g: np.ndarray, g_inv: np.ndarray) -> np.nd
             - pure_trace(gamma, g_inv, 2)) / 4.0
 
 
+def _symmetric_trace(s, metric):
+    return symmetric_trace_part(trace(s, metric.g, (0, 1)), metric.g_inv)
+
+
+def _mixed_trace(n, metric):
+    return mixed_trace_part(*trace_vectors(n, metric.g), metric.g_inv)
+
+
+def _lower_mixed_trace(n, metric):
+    return mixed_trace_part(*trace_vectors(n, metric.g_inv), metric.g)
+
+
+def _rest(whole, piece, metric):
+    return whole - piece
+
+
 class Part(NamedTuple):
-    """A part's subspace dimension and its closed form ``form(x, metric)``."""
+    """A part's subspace dimension and its rule on the parts it refines.
 
-    dim: int
-    form: Callable[[np.ndarray, Metric], np.ndarray]
-
-
-def _split(names, dims, project, trace_part) -> dict[str, Part]:
-    """The trace piece of ``project(x)`` and its traceless rest.
-
-    ``trace_part(y, g, g_inv)`` returns the trace piece of ``y``.
+    ``rule(*refined, metric)`` takes the arrays of the parts named in
+    ``refines``, in that order.
     """
 
-    def trace_form(x, metric):
-        return trace_part(project(x), metric.g, metric.g_inv)
+    dim: int
+    refines: tuple[str, ...]
+    rule: Callable[..., np.ndarray]
 
-    def rest_form(x, metric):
-        y = project(x)
-        return y - trace_part(y, metric.g, metric.g_inv)
-
-    return {names[0]: Part(dims[0], trace_form), names[1]: Part(dims[1], rest_form)}
-
-
-def _symmetric_trace(s, g, g_inv):
-    return symmetric_trace_part(trace(s, g, (0, 1)), g_inv)
+    def form(self, x: np.ndarray, metric: Metric) -> np.ndarray:
+        """The part of ``x``: its rule on the parts it refines."""
+        return self.rule(*evaluate(self.refines, x, metric), metric)
 
 
-def _mixed_trace(n, g, g_inv):
-    return mixed_trace_part(*trace_vectors(n, g), g_inv)
-
-
-def _lower_mixed_trace(n, g, g_inv):
-    return _mixed_trace(n, g_inv, g)
-
-
-def piezo_symmetric(x: np.ndarray) -> np.ndarray:
-    return symmetric(pair_symmetric(x))
-
-
-def piezo_mixed(x: np.ndarray) -> np.ndarray:
-    t = pair_symmetric(x)
-    return t - symmetric(t)
-
-
-def hall_mixed(x: np.ndarray) -> np.ndarray:
-    t = pair_antisymmetric(x)
-    return t - antisymmetric(t)
-
-
-#: every part by name, in ledger order: subspace dimension and closed form
+#: every part by name, in ledger order
 PARTS: dict[str, Part] = {
-    "identity": Part(27, lambda x, metric: x),
-    "symmetric": Part(10, lambda x, metric: symmetric(x)),
-    "antisymmetric": Part(1, lambda x, metric: antisymmetric(x)),
-    "residue": Part(16, lambda x, metric: residue(x)),
+    # the input itself, which ``evaluate`` starts from
+    "identity": Part(27, ("identity",), lambda x, metric: x),
+    "symmetric": Part(10, ("identity",), lambda x, metric: symmetric(x)),
+    "antisymmetric": Part(1, ("identity",), lambda x, metric: antisymmetric(x)),
+    "residue": Part(
+        16, ("identity", "symmetric", "antisymmetric"), lambda x, s, a, metric: residue(x, s, a)
+    ),
     **{
         f"n{member + 1}_{family}": Part(
-            8, lambda x, metric, f=family, i=member: mixed(x, f, i)
+            8, ("identity",), lambda x, metric, f=family, i=member: mixed(x, f, i)
         )
         for family in MIXED_PAIRS
         for member in (0, 1)
     },
-    **_split(("k_part", "r_part"), (3, 7), symmetric, _symmetric_trace),
-    **_split(("m_part", "p_part"), (6, 10), residue, _mixed_trace),
-    **_split(("m1_part", "p1_part"), (3, 5), lambda x: mixed(x, "plain", 0), first_trace_part),
-    **_split(("m2_part", "p2_part"), (3, 5), lambda x: mixed(x, "plain", 1), second_trace_part),
-    "piezo_s": Part(10, lambda x, metric: piezo_symmetric(x)),
-    "piezo_n": Part(8, lambda x, metric: piezo_mixed(x)),
-    **_split(("piezo_k", "piezo_r"), (3, 7), piezo_symmetric, _symmetric_trace),
-    **_split(("piezo_m", "piezo_p"), (3, 5), piezo_mixed, _mixed_trace),
-    "hall_a": Part(1, lambda x, metric: antisymmetric(pair_antisymmetric(x))),
-    "hall_n": Part(8, lambda x, metric: hall_mixed(x)),
-    **_split(("hall_m", "hall_p"), (3, 5), hall_mixed, _lower_mixed_trace),
+    "k_part": Part(3, ("symmetric",), _symmetric_trace),
+    "r_part": Part(7, ("symmetric", "k_part"), _rest),
+    "m_part": Part(6, ("residue",), _mixed_trace),
+    "p_part": Part(10, ("residue", "m_part"), _rest),
+    "m1_part": Part(
+        3, ("n1_plain",), lambda n1, metric: first_trace_part(n1, metric.g, metric.g_inv)
+    ),
+    "p1_part": Part(5, ("n1_plain", "m1_part"), _rest),
+    "m2_part": Part(
+        3, ("n2_plain",), lambda n2, metric: second_trace_part(n2, metric.g, metric.g_inv)
+    ),
+    "p2_part": Part(5, ("n2_plain", "m2_part"), _rest),
+    "piezo_s": Part(10, ("pair_symmetric",), lambda t, metric: symmetric(t)),
+    "piezo_n": Part(8, ("pair_symmetric", "piezo_s"), _rest),
+    "piezo_k": Part(3, ("piezo_s",), _symmetric_trace),
+    "piezo_r": Part(7, ("piezo_s", "piezo_k"), _rest),
+    "piezo_m": Part(3, ("piezo_n",), _mixed_trace),
+    "piezo_p": Part(5, ("piezo_n", "piezo_m"), _rest),
+    "hall_a": Part(1, ("pair_antisymmetric",), lambda t, metric: antisymmetric(t)),
+    "hall_n": Part(8, ("pair_antisymmetric", "hall_a"), _rest),
+    "hall_m": Part(3, ("hall_n",), _lower_mixed_trace),
+    "hall_p": Part(5, ("hall_n", "hall_m"), _rest),
 }
+
+#: the ledger's parts and the two slices the piezo and Hall parts refine
+_RULES: dict[str, Part] = {
+    **PARTS,
+    "pair_symmetric": Part(18, ("identity",), lambda x, metric: pair_symmetric(x)),
+    "pair_antisymmetric": Part(9, ("identity",), lambda x, metric: pair_antisymmetric(x)),
+}
+
+
+def evaluate(names, x: np.ndarray, metric: Metric) -> list[np.ndarray]:
+    """The named parts of ``x``, in order.
+
+    One dictionary holds every part computed during the call, so each part,
+    named or refined, is computed once.
+    """
+    values = {"identity": x}
+    return [_value(name, values, metric) for name in names]
+
+
+def _value(name: str, values: dict, metric: Metric) -> np.ndarray:
+    # a module-level function, not a closure: a closure that calls itself is
+    # a reference cycle, which keeps the call's arrays until garbage collection
+    if name not in values:
+        part = _RULES[name]
+        values[name] = part.rule(*[_value(n, values, metric) for n in part.refines], metric)
+    return values[name]

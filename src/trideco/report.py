@@ -59,20 +59,30 @@ REPORT_PARTS = {
 _PSEUDO_SCALAR_SHAPES = ("sl3", "so3", "hall")
 
 
-def classify_symmetry(t: Tensor3, rel_tol: float = CLASSIFY_REL_TOL) -> str:
+def classify_symmetry(
+    t: Tensor3,
+    rel_tol: float = CLASSIFY_REL_TOL,
+    *,
+    s: np.ndarray | None = None,
+    a: np.ndarray | None = None,
+) -> str:
     """Most specific symmetry class of ``t``.
 
     One of ``fully-symmetric``, ``fully-antisymmetric``, ``pair-symmetric-jk``,
-    ``pair-antisymmetric-ij``, ``generic``.
+    ``pair-antisymmetric-ij``, ``generic``.  A caller that already holds the
+    symmetric and antisymmetric parts of ``t``'s components passes them as
+    ``s`` and ``a``; otherwise they are computed here when needed.  They are
+    trusted, not checked: they must be ``parts.symmetric(t.components)`` and
+    ``parts.antisymmetric(t.components)``, or the class is wrong.
     """
     scale = t.max_abs()
     if scale == 0.0:
         return "fully-symmetric"
     threshold = rel_tol * scale
     c = t.components
-    if max_abs(c - parts.symmetric(c)) <= threshold:
+    if max_abs(c - (parts.symmetric(c) if s is None else s)) <= threshold:
         return "fully-symmetric"
-    if max_abs(c - parts.antisymmetric(c)) <= threshold:
+    if max_abs(c - (parts.antisymmetric(c) if a is None else a)) <= threshold:
         return "fully-antisymmetric"
     if max_abs(c - np.transpose(c, (0, 2, 1))) <= threshold:
         return "pair-symmetric-jk"
@@ -142,10 +152,11 @@ class DecompositionReport:
         if "pseudo_scalar" in doc:
             lines.append(f"pseudo-scalar: {doc['pseudo_scalar']:.12g}")
         off_diag = scale = 0.0
-        gram = np.asarray(doc["gram"])
+        gram = self.gram
         if gram.size:
-            off_diag = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
-            scale = float(np.max(np.diag(gram)))
+            diagonal = gram.diagonal()
+            off_diag = float(np.abs(gram - np.diag(diagonal)).max())
+            scale = float(diagonal.max())
         lines.append(
             f"gram off-diagonal max: {off_diag:.3e}"
             + ("" if off_diag <= tol * scale else "  (parts not mutually orthogonal)")
@@ -187,9 +198,12 @@ def build_report(
         family = "plain" if shape == "so3" else None
     named = REPORT_PARTS[shape, family]
     x = t.components
-    tensors = [
-        Tensor3(parts.PARTS[name].form(x, metric), t.variance, t.parity) for _, name in named
-    ]
+    # one evaluation, so the parts they refine and the class's s and a are
+    # computed once
+    *arrays, s, a = parts.evaluate(
+        [name for _, name in named] + ["symmetric", "antisymmetric"], x, metric
+    )
+    tensors = [Tensor3(array, t.variance, t.parity) for array in arrays]
     # the input's own row gives its norm from the same contraction matrix
     gram = o3.orthogonality_matrix(tensors + [t], metric)
     input_norm = float(np.sqrt(max(gram[-1, -1], 0.0)))
@@ -206,7 +220,7 @@ def build_report(
         family=family,
         input_summary={
             "norm": input_norm,
-            "symmetry_class": classify_symmetry(t),
+            "symmetry_class": classify_symmetry(t, s=s, a=a),
             "variance": t.variance,
             "parity": t.parity,
         },

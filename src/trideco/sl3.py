@@ -126,31 +126,42 @@ def epsilon_contractions(t: Tensor3) -> Sl3Parts:
     )
 
 
-def _require_traceless_pseudo(mat: Tensor2, what: str, tol: float) -> None:
+def _require_traceless_pseudo(mat: Tensor2, what: str, tol: float, scale: float) -> None:
     if mat.variance != "lu" or mat.parity != 1:
         raise VarianceError(f"{what} expects a mixed (lower, upper) pseudo-matrix")
-    if abs(mat.trace()) > tol * max(1.0, mat.max_abs()):
+    if abs(mat.trace()) > tol * max(scale, mat.max_abs()):
         raise VarianceError(f"{what} expects a traceless matrix")
 
 
-def reconstruct_n1(b_check: Tensor2, tol: float = 1e-9) -> Tensor3:
-    """Rebuild the slots-1,2-symmetric mixed component from its matrix."""
-    _require_traceless_pseudo(b_check, "reconstruct_n1", tol)
+def reconstruct_n1(b_check: Tensor2, tol: float = 1e-9, *, scale: float = 0.0) -> Tensor3:
+    """Rebuild the slots-1,2-symmetric mixed component from its matrix.
+
+    The trace must be within ``tol`` of the larger of the matrix's own size
+    and ``scale``.  A matrix computed from a tensor carries rounding of that
+    tensor's size in its trace, so a caller passes the tensor's size as
+    ``scale``; when the mixed part is small next to the tensor, the matrix
+    alone is too small to judge that rounding by.
+    """
+    _require_traceless_pseudo(b_check, "reconstruct_n1", tol, scale)
     c = RECONSTRUCTION_COEFF
     return Tensor3(from_matrix(b_check.components, (c, c, 0.0)), "upper", parity=0)
 
 
-def reconstruct_n2(c_check: Tensor2, tol: float = 1e-9) -> Tensor3:
-    """Rebuild the slots-1,3-symmetric mixed component from its matrix."""
-    _require_traceless_pseudo(c_check, "reconstruct_n2", tol)
+def reconstruct_n2(c_check: Tensor2, tol: float = 1e-9, *, scale: float = 0.0) -> Tensor3:
+    """Rebuild the slots-1,3-symmetric mixed component from its matrix;
+    ``tol`` and ``scale`` as in ``reconstruct_n1``."""
+    _require_traceless_pseudo(c_check, "reconstruct_n2", tol, scale)
     c = RECONSTRUCTION_COEFF
     return Tensor3(from_matrix(c_check.components, (c, 0.0, c)), "upper", parity=0)
 
 
-def reconstruct_n(b_check: Tensor2, c_check: Tensor2, tol: float = 1e-9) -> Tensor3:
+def reconstruct_n(
+    b_check: Tensor2, c_check: Tensor2, tol: float = 1e-9, *, scale: float = 0.0
+) -> Tensor3:
     """Rebuild the full mixed-symmetry part from its two matrices.
 
     Round trip: feeding the ``b_check``/``c_check`` of a tensor back through
-    this map returns that tensor's mixed-symmetry part.
+    this map, with the tensor's ``max_abs()`` as ``scale``, returns that
+    tensor's mixed-symmetry part.
     """
-    return reconstruct_n1(b_check, tol) + reconstruct_n2(c_check, tol)
+    return reconstruct_n1(b_check, tol, scale=scale) + reconstruct_n2(c_check, tol, scale=scale)

@@ -14,7 +14,16 @@ from dataclasses import dataclass
 
 from . import parts, sl3
 from .sl3 import EPSILON, Sl3Parts
-from .tensor import EUCLIDEAN, Metric, Tensor2, Tensor3, TensorError, VarianceError, Vector3
+from .tensor import (
+    EUCLIDEAN,
+    Metric,
+    Tensor2,
+    Tensor3,
+    TensorError,
+    VarianceError,
+    Vector3,
+    max_abs,
+)
 
 # Skew matrix parts written back in terms of the trace vectors.
 FIRST_SKEW_COEFF = -0.75
@@ -114,24 +123,30 @@ def _mixed_matrix(sym_low: Tensor2, skew_coeff: float, vec: Vector3,
 
 
 def first_component_from(e_mat: Tensor2, beta_vec: Vector3,
-                         metric: Metric = EUCLIDEAN) -> Tensor3:
-    """Rebuild the slots-1,2-symmetric mixed component from (matrix, vector)."""
-    return sl3.reconstruct_n1(_mixed_matrix(e_mat, FIRST_SKEW_COEFF, beta_vec, metric))
+                         metric: Metric = EUCLIDEAN, *, scale: float = 0.0) -> Tensor3:
+    """Rebuild the slots-1,2-symmetric mixed component from (matrix, vector);
+    ``scale`` as in ``sl3.reconstruct_n1``."""
+    mat = _mixed_matrix(e_mat, FIRST_SKEW_COEFF, beta_vec, metric)
+    return sl3.reconstruct_n1(mat, scale=scale)
 
 
 def second_component_from(f_mat: Tensor2, gamma_vec: Vector3,
-                          metric: Metric = EUCLIDEAN) -> Tensor3:
-    """Rebuild the slots-1,3-symmetric mixed component from (matrix, vector)."""
-    return sl3.reconstruct_n2(_mixed_matrix(f_mat, SECOND_SKEW_COEFF, gamma_vec, metric))
+                          metric: Metric = EUCLIDEAN, *, scale: float = 0.0) -> Tensor3:
+    """Rebuild the slots-1,3-symmetric mixed component from (matrix, vector);
+    ``scale`` as in ``sl3.reconstruct_n1``."""
+    mat = _mixed_matrix(f_mat, SECOND_SKEW_COEFF, gamma_vec, metric)
+    return sl3.reconstruct_n2(mat, scale=scale)
 
 
 def reassemble(rep: So3Representation, metric: Metric = EUCLIDEAN) -> Tensor3:
     """Invert ``so3_representation``; exact up to rounding."""
     if (rep.r_part.variance, rep.r_part.parity) != ("upper", 0):
         raise VarianceError("reassemble expects a proper upper-variance r_part")
-    n1 = first_component_from(rep.e_mat, rep.beta_vec, metric)
-    n2 = second_component_from(rep.f_mat, rep.gamma_vec, metric)
     k = parts.symmetric_trace_part(rep.alpha.components, metric.g_inv)
-    return Tensor3(
-        k + rep.r_part.components + rep.a_scalar * EPSILON + n1.components + n2.components
-    )
+    rest = k + rep.r_part.components + rep.a_scalar * EPSILON
+    # the mixed matrices carry rounding of the whole tensor's size, so their
+    # traces are judged against the rest of it too
+    scale = max_abs(rest)
+    n1 = first_component_from(rep.e_mat, rep.beta_vec, metric, scale=scale)
+    n2 = second_component_from(rep.f_mat, rep.gamma_vec, metric, scale=scale)
+    return Tensor3(rest + n1.components + n2.components)

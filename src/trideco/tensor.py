@@ -43,7 +43,7 @@ def _frozen_array(values, shape) -> np.ndarray:
     arr = np.array(values, dtype=np.float64)
     if arr.shape != shape:
         raise TensorError(f"expected shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise TensorError("components must be finite")
     arr.setflags(write=False)
     return arr
@@ -51,7 +51,7 @@ def _frozen_array(values, shape) -> np.ndarray:
 
 def max_abs(values) -> float:
     arr = np.asarray(values, dtype=np.float64)
-    return float(np.max(np.abs(arr))) if arr.size else 0.0
+    return float(np.abs(arr).max()) if arr.size else 0.0
 
 
 class _TaggedValue:
@@ -173,14 +173,18 @@ class Vector3(_TaggedValue):
 
 @dataclass(frozen=True, eq=False)
 class Metric:
-    """Symmetric positive-definite metric and its inverse.
+    """Symmetric positive-definite metric, its inverse and its contraction
+    matrices.
 
     ``g`` must be exactly symmetric as stored.  The inverse is computed once
-    and validated against ``g @ g_inv = I`` to within 1e-12.
+    and validated against ``g @ g_inv = I`` to within 1e-12.  The 27x27
+    contraction matrix of each variance is computed on first use and kept
+    on the instance.
     """
 
     g: np.ndarray
     g_inv: np.ndarray = field(init=False)
+    _contractions: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
         g = _frozen_array(self.g, (3, 3))
@@ -200,6 +204,18 @@ class Metric:
     @classmethod
     def euclidean(cls) -> "Metric":
         return cls(np.eye(3))
+
+    def contraction_matrix(self, variance: str) -> np.ndarray:
+        """The three-slot metric contraction as a read-only 27x27 matrix on
+        flattened components: ``g`` contracts upper indices, ``g_inv`` lower
+        ones."""
+        matrix = self._contractions.get(variance)
+        if matrix is None:
+            g = self.g if variance == "upper" else self.g_inv
+            matrix = np.einsum("im,jn,kp->ijkmnp", g, g, g).reshape(27, 27)
+            matrix.setflags(write=False)
+            self._contractions[variance] = matrix
+        return matrix
 
 
 EUCLIDEAN = Metric.euclidean()
@@ -254,18 +270,11 @@ def permute(t: Tensor3, sigma: Perm | str) -> Tensor3:
     return t._with(np.transpose(t.components, perm.transpose_axes()))
 
 
-def _contraction_matrix(variance: str, metric: Metric) -> np.ndarray:
-    """The three-slot metric contraction as a 27x27 matrix on flattened
-    components: ``g`` contracts upper indices, ``g_inv`` lower ones."""
-    g = metric.g if variance == "upper" else metric.g_inv
-    return np.einsum("im,jn,kp->ijkmnp", g, g, g).reshape(27, 27)
-
-
 def scalar_product(a: Tensor3, b: Tensor3, metric: Metric = EUCLIDEAN) -> float:
     """Full three-slot contraction of ``a`` and ``b`` through the metric."""
     if a.variance != b.variance:
         raise VarianceError("scalar product requires equal variance")
-    contraction = _contraction_matrix(a.variance, metric)
+    contraction = metric.contraction_matrix(a.variance)
     return float(a.components.reshape(27) @ contraction @ b.components.reshape(27))
 
 
@@ -300,7 +309,6 @@ def transform(value: Tensor3 | Tensor2 | Vector3, r: BasisTransform):
     Upper slots contract with the forward matrix, lower slots with the
     inverse; pseudo-tensors pick up an extra ``sign(det R)`` factor.
     """
-    factor = _parity_factor(value, r)
     # one matrix per slot, by the first letter of the slot's variance tag
     mats = {"u": r.matrix, "l": r.inverse.T}
     if isinstance(value, Tensor3):
@@ -312,7 +320,7 @@ def transform(value: Tensor3 | Tensor2 | Vector3, r: BasisTransform):
         new = mats[value.variance[0]] @ value.components
     else:
         raise TypeError(f"cannot transform {type(value).__name__}")
-    return value._with(factor * new)
+    return value._with(_parity_factor(value, r) * new)
 
 
 def transform_metric(metric: Metric, r: BasisTransform) -> Metric:

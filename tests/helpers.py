@@ -7,11 +7,29 @@ covariance checks at 1e-9 are meaningful rather than dominated by rounding.
 
 import numpy as np
 
+from trideco import gl3
+from trideco.sl3 import EPSILON
 from trideco.tensor import BasisTransform, Tensor3
 
 
 def rand_tensor(rng, variance="upper"):
     return Tensor3(rng.uniform(-1.0, 1.0, (3, 3, 3)), variance)
+
+
+#: tensors whose mixed part is zero up to rounding, or small next to them
+SMALL_MIXED_KINDS = ("symmetrized", "epsilon", "near-symmetric", "small-mixed")
+
+
+def small_mixed_tensor(rng, kind, scale):
+    t = rand_tensor(rng) * scale
+    if kind == "symmetrized":
+        return gl3.symmetric_part(t)
+    if kind == "epsilon":
+        return Tensor3(0.7 * scale * EPSILON)
+    small = 1e-8 * gl3.residue_part(t)
+    if kind == "near-symmetric":
+        return gl3.symmetric_part(t) + small
+    return gl3.symmetric_part(t) + gl3.antisymmetric_part(t) + small
 
 
 def unit_tensor(rng, variance="upper"):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from trideco import gl3, oracle, report, sl3, tensorio
+from trideco.symmetrizers import GroupAlgebraElement
 from trideco.tensor import EUCLIDEAN, Metric, Tensor3
 
 from helpers import unit_pair_antisymmetric, unit_pair_symmetric, unit_tensor
@@ -91,6 +92,22 @@ class TestBuildReport:
             assert "not mutually orthogonal" in result.render_text()
             o3_result = report.build_report(unit_tensor(rng) * scale, level="o3")
             assert "not mutually orthogonal" not in o3_result.render_text()
+
+
+@pytest.mark.parametrize("level, gathers", [("gl3", 2), ("o3", 2), ("sl3", 2), ("so3", 4)])
+def test_each_projection_is_evaluated_once(monkeypatch, rng, level, gathers):
+    # s and a everywhere, plus the two plain mixed components at so3; the
+    # symmetry class reuses s and a
+    calls = []
+    gather = GroupAlgebraElement.on_components
+
+    def counted(self, x):
+        calls.append(self)
+        return gather(self, x)
+
+    monkeypatch.setattr(GroupAlgebraElement, "on_components", counted)
+    report.build_report(unit_tensor(rng), level)
+    assert len(calls) == gathers
 
 
 class TestReportParts:

@@ -8,7 +8,14 @@ from numpy.testing import assert_allclose
 from trideco import gl3, oracle, sl3, so3
 from trideco.tensor import EUCLIDEAN, Metric, Tensor2, Tensor3, VarianceError, Vector3, transform
 
-from helpers import rand_tensor, random_reflection, random_sl, unit_tensor
+from helpers import (
+    SMALL_MIXED_KINDS,
+    rand_tensor,
+    random_reflection,
+    random_sl,
+    small_mixed_tensor,
+    unit_tensor,
+)
 
 
 class TestEpsilonIdentities:
@@ -122,6 +129,24 @@ class TestReconstruction:
         biased = Tensor2(np.eye(3), "lu", 1)
         with pytest.raises(VarianceError):
             sl3.reconstruct_n1(biased)
+
+    def test_rejects_pure_trace_below_unit_scale(self):
+        # without a scale the trace is judged against the matrix's own size,
+        # not against 1
+        with pytest.raises(VarianceError):
+            sl3.reconstruct_n1(Tensor2(1e-12 * np.eye(3), "lu", 1))
+
+    def test_scale_forgives_rounding_only(self):
+        with pytest.raises(VarianceError):
+            sl3.reconstruct_n2(Tensor2(1e-6 * np.eye(3), "lu", 1), scale=1.0)
+
+    @pytest.mark.parametrize("kind", SMALL_MIXED_KINDS)
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+    def test_round_trip_with_small_mixed_part(self, rng, scale, kind):
+        t = small_mixed_tensor(rng, kind, scale)
+        parts = sl3.epsilon_contractions(t)
+        rebuilt = sl3.reconstruct_n(parts.b_check, parts.c_check, scale=t.max_abs())
+        assert rebuilt.allclose(gl3.residue_part(t), 1e-12 * t.max_abs())
 
     def test_rejects_wrong_tags(self):
         proper = Tensor2(np.zeros((3, 3)), "lu", 0)

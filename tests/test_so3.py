@@ -5,7 +5,13 @@ from numpy.testing import assert_allclose
 from trideco import gl3, o3, sl3, so3
 from trideco.tensor import EUCLIDEAN, Metric, Tensor3, Vector3, transform
 
-from helpers import rand_tensor, random_rotation, unit_tensor
+from helpers import (
+    SMALL_MIXED_KINDS,
+    rand_tensor,
+    random_rotation,
+    small_mixed_tensor,
+    unit_tensor,
+)
 
 DIAG_METRIC = Metric(np.diag([2.0, 1.0, 1.0]))
 METRICS = [EUCLIDEAN, DIAG_METRIC]
@@ -100,6 +106,22 @@ class TestRepresentation:
         t = rand_tensor(rng)
         rebuilt = so3.reassemble(so3.so3_representation(t, metric), metric)
         assert rebuilt.allclose(t, 1e-11)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    @pytest.mark.parametrize("metric", METRICS, ids=METRIC_IDS)
+    def test_round_trip_across_scales(self, rng, metric, scale):
+        t = rand_tensor(rng) * scale
+        rebuilt = so3.reassemble(so3.so3_representation(t, metric), metric)
+        assert rebuilt.allclose(t, 1e-11 * t.max_abs())
+
+    @pytest.mark.parametrize("kind", SMALL_MIXED_KINDS)
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+    @pytest.mark.parametrize("metric", METRICS, ids=METRIC_IDS)
+    def test_round_trip_with_small_mixed_part(self, rng, metric, scale, kind):
+        # the mixed matrices are then mostly rounding of the whole tensor's size
+        t = small_mixed_tensor(rng, kind, scale)
+        rebuilt = so3.reassemble(so3.so3_representation(t, metric), metric)
+        assert rebuilt.allclose(t, 1e-11 * t.max_abs())
 
     def test_rotation_covariance(self, rng):
         t = unit_tensor(rng)

@@ -89,6 +89,13 @@ class TestScalarProduct:
             total += a[i, j, k] * b[m, n, p] * g[i, m] * g[j, n] * g[k, p]
         assert scalar_product(a, b, metric) == pytest.approx(total, abs=1e-12)
 
+    def test_contraction_matrix_is_kept_and_read_only(self):
+        metric = Metric(np.diag([2.0, 1.0, 1.0]))
+        upper, lower = metric.contraction_matrix("upper"), metric.contraction_matrix("lower")
+        assert metric.contraction_matrix("upper") is upper
+        assert upper[0, 0] == 8.0 and lower[0, 0] == 0.125
+        assert not upper.flags.writeable and not lower.flags.writeable
+
     def test_variance_mismatch_rejected(self, rng):
         with pytest.raises(VarianceError):
             scalar_product(rand_tensor(rng, "upper"), rand_tensor(rng, "lower"))
@@ -181,6 +188,10 @@ class TestTransform:
         before = scalar_product(a, b)
         after = scalar_product(transform(a, r), transform(b, r), transform_metric(EUCLIDEAN, r))
         assert after == pytest.approx(before, rel=1e-10)
+
+    def test_untagged_value_is_a_type_error(self):
+        with pytest.raises(TypeError, match="cannot transform ndarray"):
+            transform(np.zeros(3), BasisTransform.identity())
 
     def test_pseudo_tensor3_sign(self, rng):
         t = Tensor3(rng.uniform(-1, 1, (3, 3, 3)), "upper", parity=1)
