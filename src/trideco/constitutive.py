@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gl3, o3, parts
+from . import parts
 from .sl3 import contraction, from_matrix, pseudo_scalar_of
 from .tensor import (
     EUCLIDEAN,
@@ -54,7 +54,9 @@ HALL_MATRIX_WEIGHTS = (0.5, -0.5, 0.5)
 def _ingest(components: np.ndarray, defect: np.ndarray, repaired: np.ndarray,
             what: str) -> np.ndarray:
     asymmetry = max_abs(defect)
-    scale = max(1.0, max_abs(components))
+    # judged against the tensor's own size, so a tiny generic tensor is not
+    # taken for a slightly noisy slice
+    scale = max_abs(components)
     if asymmetry > INGEST_TOL * scale:
         raise SymmetryError(
             f"{what}: relative asymmetry {asymmetry / scale:.3e} exceeds {INGEST_TOL:.0e}"
@@ -120,27 +122,25 @@ def piezo_decompose(d: PiezoTensor, metric: Metric = EUCLIDEAN) -> PiezoParts:
 
     Every part keeps the last-two-slot symmetry.  The two trace vectors lead
     to the split 18 = (3 + 7) + (3 + 5) into a trace and a traceless piece of
-    both the fully symmetric and the mixed part: the metric splits of
-    ``o3``, which stay inside the pair-symmetric slice.
+    both the fully symmetric and the mixed part.  Only the mixed part is
+    particular to the slice: the full symmetrizer absorbs the slot swap, so
+    the fully symmetric part and its trace split are the generic ones of
+    ``o3``.  Every part is read from ``parts.PARTS`` by one
+    ``parts.evaluate`` call, the same table the reports read.
     """
     t = d.tensor
-    s = gl3.symmetric_part(t)
-    n = t - s
-    k_part, r_part, alpha = o3.symmetric_split(s.components, t.parity, metric)
-    m_part, p_part, beta, _ = o3.mixed_split(n.components, t.parity, metric)
-    b_mat, b_sym, b_skew = _piezo_matrix(n.components, t.parity, metric)
+    arrays = parts.evaluate(
+        ("piezo_s", "piezo_n", "piezo_k", "piezo_r", "piezo_m", "piezo_p"),
+        t.components,
+        metric,
+    )
+    s, n = arrays[:2]
+    alpha = parts.trace(s, metric.g, (0, 1))
+    beta, _ = parts.plain_trace_vectors(n, metric.g)
     return PiezoParts(
-        s=s,
-        n=n,
-        k_part=k_part,
-        r_part=r_part,
-        m_part=m_part,
-        p_part=p_part,
-        alpha=alpha,
-        beta=beta,
-        b_mat=b_mat,
-        b_sym=b_sym,
-        b_skew=b_skew,
+        *(Tensor3(x, "upper", t.parity) for x in arrays),
+        *(Vector3(v, "upper", t.parity) for v in (alpha, beta)),
+        *_piezo_matrix(n, t.parity, metric),
         metric=metric,
     )
 
@@ -204,9 +204,7 @@ def hall_decompose(h: HallTensor, metric: Metric = EUCLIDEAN) -> HallParts:
     """
     t = h.tensor
     x = t.components
-    a = parts.antisymmetric(x)
-    n = x - a
-    m = parts.mixed_trace_part(*parts.trace_vectors(n, metric.g_inv), metric.g)
+    a, n, m, p = parts.evaluate(("hall_a", "hall_n", "hall_m", "hall_p"), x, metric)
     a_check, a_sym, a_skew = _hall_matrix(n, t.parity, metric)
 
     def tensor(components):
@@ -216,7 +214,7 @@ def hall_decompose(h: HallTensor, metric: Metric = EUCLIDEAN) -> HallParts:
         a=tensor(a),
         n=tensor(n),
         m_part=tensor(m),
-        p_part=tensor(n - m),
+        p_part=tensor(p),
         a_scalar=pseudo_scalar_of(x),
         v_vec=Vector3(parts.trace(x, metric.g_inv, (0, 2)), "lower", t.parity),
         a_check=a_check,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import parts
 from .symmetrizers import MIXED_PAIRS
-from .tensor import Tensor3
+from .tensor import EUCLIDEAN, Tensor3
 
 FAMILIES = ("plain", "tilde", "hat")
 
@@ -64,14 +64,13 @@ class Gl3Parts:
 
 
 def decompose(t: Tensor3, family: str) -> Gl3Parts:
-    n1, n2 = n_split(t, family)
-    x = t.components
-    s, a = parts.symmetric(x), parts.antisymmetric(x)
-    return Gl3Parts(
-        s=_like(t, s),
-        a=_like(t, a),
-        n=_like(t, parts.residue(x, s, a)),
-        n1=n1,
-        n2=n2,
-        family=family,
+    check_family(family)
+    s, a, n, n1, n2 = (
+        _like(t, part)
+        for part in parts.evaluate(
+            ("symmetric", "antisymmetric", "residue", f"n1_{family}", f"n2_{family}"),
+            t.components,
+            EUCLIDEAN,  # no gl3 rule reads the metric
+        )
     )
+    return Gl3Parts(s=s, a=a, n=n, n1=n1, n2=n2, family=family)

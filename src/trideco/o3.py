@@ -43,31 +43,17 @@ class TraceVectors:
 def trace_vectors(t: Tensor3, metric: Metric = EUCLIDEAN) -> TraceVectors:
     """The three metric contractions over slot pairs (1,2), (1,3), (2,3)."""
     _require_upper(t, "trace_vectors")
-    u, v, w = parts.trace_vectors(t.components, metric.g)
-    return TraceVectors(*(Vector3(vec, "upper", t.parity) for vec in (u, v, w)))
+    return TraceVectors(*_vectors(t.parity, *parts.trace_vectors(t.components, metric.g)))
 
 
-def symmetric_split(x, parity: int, metric: Metric) -> tuple[Tensor3, Tensor3, Vector3]:
-    """``s_trace_split`` of the components ``x``, which it does not check."""
-    alpha = parts.trace(x, metric.g, (0, 1))
-    k = parts.symmetric_trace_part(alpha, metric.g_inv)
-    return (
-        Tensor3(k, "upper", parity),
-        Tensor3(x - k, "upper", parity),
-        Vector3(alpha, "upper", parity),
-    )
+def _vectors(parity: int, *vectors) -> tuple[Vector3, ...]:
+    return tuple(Vector3(v, "upper", parity) for v in vectors)
 
 
-def mixed_split(x, parity: int, metric: Metric) -> tuple[Tensor3, Tensor3, Vector3, Vector3]:
-    """``n_trace_split`` of the components ``x``, which it does not check."""
-    u, v, w = parts.trace_vectors(x, metric.g)
-    m = parts.mixed_trace_part(u, v, w, metric.g_inv)
-    return (
-        Tensor3(m, "upper", parity),
-        Tensor3(x - m, "upper", parity),
-        Vector3(2.0 / 3.0 * (u - w), "upper", parity),
-        Vector3(2.0 / 3.0 * (v - w), "upper", parity),
-    )
+def _split(x, rule: str, parity: int, metric: Metric) -> tuple[Tensor3, Tensor3]:
+    """The part ``rule`` of ``parts.PARTS`` applied to ``x``, and the rest."""
+    piece = parts.PARTS[rule].rule(x, metric)
+    return Tensor3(piece, "upper", parity), Tensor3(x - piece, "upper", parity)
 
 
 def s_trace_split(
@@ -84,7 +70,8 @@ def s_trace_split(
     x = s.components
     if max_abs(x - parts.symmetric(x)) > tol * _validation_scale(s):
         raise SymmetryError("s_trace_split expects a fully symmetric tensor")
-    return symmetric_split(x, s.parity, metric)
+    alpha = parts.trace(x, metric.g, (0, 1))
+    return (*_split(x, "k_part", s.parity, metric), *_vectors(s.parity, alpha))
 
 
 def n_trace_split(
@@ -106,7 +93,8 @@ def n_trace_split(
         or max_abs(parts.antisymmetric(x)) > tol * scale
     ):
         raise SymmetryError("n_trace_split expects a mixed-symmetry tensor")
-    return mixed_split(x, n.parity, metric)
+    beta_gamma = parts.plain_trace_vectors(x, metric.g)
+    return (*_split(x, "m_part", n.parity, metric), *_vectors(n.parity, *beta_gamma))
 
 
 def n_family_trace_split(
@@ -124,14 +112,7 @@ def n_family_trace_split(
         raise SymmetryError("first component must be symmetric in slots 1,2")
     if max_abs(x2 - np.transpose(x2, (2, 1, 0))) > tol * _validation_scale(n2):
         raise SymmetryError("second component must be symmetric in slots 1,3")
-    m1 = parts.first_trace_part(x1, metric.g, metric.g_inv)
-    m2 = parts.second_trace_part(x2, metric.g, metric.g_inv)
-    return (
-        Tensor3(m1, "upper", n1.parity),
-        Tensor3(x1 - m1, "upper", n1.parity),
-        Tensor3(m2, "upper", n2.parity),
-        Tensor3(x2 - m2, "upper", n2.parity),
-    )
+    return (*_split(x1, "m1_part", n1.parity, metric), *_split(x2, "m2_part", n2.parity, metric))
 
 
 def orthogonality_matrix(parts, metric: Metric = EUCLIDEAN) -> np.ndarray:
@@ -162,10 +143,13 @@ class O3Parts:
 def decompose(t: Tensor3, metric: Metric = EUCLIDEAN) -> O3Parts:
     """The unique five-part metric decomposition of a generic tensor."""
     _require_upper(t, "decompose")
-    x = t.components
-    s, a = parts.symmetric(x), parts.antisymmetric(x)
-    k_part, r_part, alpha = symmetric_split(s, t.parity, metric)
-    m_part, p_part, beta, gamma = mixed_split(x - s - a, t.parity, metric)
+    *tensors, s, n = parts.evaluate(
+        ("k_part", "r_part", "antisymmetric", "m_part", "p_part", "symmetric", "residue"),
+        t.components,
+        metric,
+    )
+    alpha = parts.trace(s, metric.g, (0, 1))
     return O3Parts(
-        k_part, r_part, Tensor3(a, "upper", t.parity), m_part, p_part, alpha, beta, gamma
+        *(Tensor3(x, "upper", t.parity) for x in tensors),
+        *_vectors(t.parity, alpha, *parts.plain_trace_vectors(n, metric.g)),
     )

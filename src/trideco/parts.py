@@ -10,15 +10,23 @@ on the way, named or refined, is computed once; ``Part.form(x, metric)`` is
 the same evaluation for one part.  ``x`` holds components of shape
 ``(..., 3, 3, 3)``; leading axes are a batch.  Each part is linear in ``x``,
 takes the metric verbatim and is a new array of the same shape, except
-``identity``, which is ``x`` itself.  The report and the oracle's operator
-matrices evaluate these rules, and the public functions of ``gl3``, ``o3``,
-``so3`` and ``constitutive`` compute through the same helpers; the oracle's
-least-squares solves never evaluate the rules.
+``identity``, which is ``x`` itself, and the parts that equal another part,
+which are that part's array.
 
-The pair-symmetric (piezo) and pair-antisymmetric (Hall) parts are the
-generic ones restricted to their slice, which is itself a rule outside the
-ledger.  Hall tensors carry lower indices, so their traces contract with the
-inverse metric and their pure-trace pieces are built from the metric itself.
+One table serves every reader.  The reports, the oracle's operator matrices
+and the public decompositions of ``gl3``, ``o3``, ``so3`` and
+``constitutive`` all get their parts from one ``evaluate`` call; a public
+function handed a part already split (``o3.s_trace_split`` and its
+siblings) applies that part's rule to it.  The oracle's least-squares
+solves never evaluate the rules, nor do the ``gl3`` projections they call.
+
+The pair-symmetric (piezo) and pair-antisymmetric (Hall) shapes change only
+the mixed part.  The full symmetrizer absorbs the slot swap, so ``piezo_s``,
+``piezo_k``, ``piezo_r`` and ``hall_a`` are the generic ``symmetric``,
+``k_part``, ``r_part`` and ``antisymmetric``; only ``piezo_n`` and
+``hall_n`` refine their slice, which is itself a rule outside the ledger.
+Hall tensors carry lower indices, so their traces contract with the inverse
+metric and their pure-trace pieces are built from the metric itself.
 """
 
 from __future__ import annotations
@@ -49,6 +57,13 @@ def pure_trace(v: np.ndarray, m: np.ndarray, slot: int) -> np.ndarray:
 def trace_vectors(x: np.ndarray, m: np.ndarray):
     """The traces over slot pairs (1,2), (1,3) and (2,3)."""
     return trace(x, m, (0, 1)), trace(x, m, (0, 2)), trace(x, m, (1, 2))
+
+
+def plain_trace_vectors(n: np.ndarray, m: np.ndarray):
+    """The trace vectors ``(beta, gamma)`` of the two plain-family
+    components of the mixed part ``n``, from its traces ``u, v, w``."""
+    u, v, w = trace_vectors(n, m)
+    return 2.0 / 3.0 * (u - w), 2.0 / 3.0 * (v - w)
 
 
 def symmetric(x: np.ndarray) -> np.ndarray:
@@ -129,6 +144,10 @@ def _rest(whole, piece, metric):
     return whole - piece
 
 
+def _same(part, metric):
+    return part
+
+
 class Part(NamedTuple):
     """A part's subspace dimension and its rule on the parts it refines.
 
@@ -173,13 +192,15 @@ PARTS: dict[str, Part] = {
         3, ("n2_plain",), lambda n2, metric: second_trace_part(n2, metric.g, metric.g_inv)
     ),
     "p2_part": Part(5, ("n2_plain", "m2_part"), _rest),
-    "piezo_s": Part(10, ("pair_symmetric",), lambda t, metric: symmetric(t)),
+    # P_sym P_pair = P_sym and P_anti P_pairanti = P_anti: the slices keep
+    # the generic symmetric and antisymmetric parts
+    "piezo_s": Part(10, ("symmetric",), _same),
     "piezo_n": Part(8, ("pair_symmetric", "piezo_s"), _rest),
-    "piezo_k": Part(3, ("piezo_s",), _symmetric_trace),
-    "piezo_r": Part(7, ("piezo_s", "piezo_k"), _rest),
+    "piezo_k": Part(3, ("k_part",), _same),
+    "piezo_r": Part(7, ("r_part",), _same),
     "piezo_m": Part(3, ("piezo_n",), _mixed_trace),
     "piezo_p": Part(5, ("piezo_n", "piezo_m"), _rest),
-    "hall_a": Part(1, ("pair_antisymmetric",), lambda t, metric: antisymmetric(t)),
+    "hall_a": Part(1, ("antisymmetric",), _same),
     "hall_n": Part(8, ("pair_antisymmetric", "hall_a"), _rest),
     "hall_m": Part(3, ("hall_n",), _lower_mixed_trace),
     "hall_p": Part(5, ("hall_n", "hall_m"), _rest),

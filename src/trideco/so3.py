@@ -102,11 +102,9 @@ def so3_representation(t: Tensor3, metric: Metric = EUCLIDEAN) -> So3Representat
     # the traceless contraction matrices of t are those of its mixed part
     contractions = sl3.epsilon_contractions(t)
     split = so3_split(contractions, metric)
-    s = parts.symmetric(t.components)
-    alpha = parts.trace(s, metric.g, (0, 1))
-    r_part = s - parts.symmetric_trace_part(alpha, metric.g_inv)
+    s, r_part = parts.evaluate(("symmetric", "r_part"), t.components, metric)
     return So3Representation(
-        alpha=Vector3(alpha, "upper", t.parity),
+        alpha=Vector3(parts.trace(s, metric.g, (0, 1)), "upper", t.parity),
         r_part=Tensor3(r_part, "upper", t.parity),
         a_scalar=contractions.a_scalar,
         e_mat=split.e_mat,

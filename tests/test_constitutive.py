@@ -85,6 +85,36 @@ class TestIngestion:
         with pytest.raises(SymmetryError):
             cons.HallTensor(Tensor3(arr, "lower"))
 
+    # the ingestion check is relative to the tensor's own size at every scale
+    SHAPES = [(cons.PiezoTensor, "upper", (0, 2, 1)), (cons.HallTensor, "lower", (1, 0, 2))]
+
+    @pytest.mark.parametrize("cls,variance,swap", SHAPES, ids=["piezo", "hall"])
+    def test_generic_tensor_rejected_below_unit_scale(self, rng, cls, variance, swap):
+        with pytest.raises(SymmetryError):
+            cls(Tensor3(rng.uniform(-1.0, 1.0, (3, 3, 3)) * 1e-12, variance))
+
+    @pytest.mark.parametrize("cls,variance,swap", SHAPES, ids=["piezo", "hall"])
+    def test_zero_tensor_accepted_silently(self, cls, variance, swap):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wrapped = cls(Tensor3.zeros(variance))
+        assert wrapped.tensor.max_abs() == 0.0
+
+    @pytest.mark.parametrize("cls,variance,swap", SHAPES, ids=["piezo", "hall"])
+    def test_relative_noise_repaired_at_tiny_scale(self, rng, cls, variance, swap):
+        shape = unit_pair_symmetric if cls is cons.PiezoTensor else unit_pair_antisymmetric
+        arr = shape(rng).components * 1e-150
+        noise = np.zeros((3, 3, 3))
+        noise[0, 1, 2] = 1e-11 * np.abs(arr).max()
+        with pytest.warns(UserWarning, match="symmetrized away"):
+            wrapped = cls(Tensor3(arr + noise, variance))
+        c = wrapped.tensor.components
+        sign = 1.0 if cls is cons.PiezoTensor else -1.0
+        assert np.array_equal(c, sign * np.transpose(c, swap))
+        assert np.abs(c - arr).max() <= 1e-11 * np.abs(arr).max()
+
 
 class TestPiezoDecomposition:
     def test_fully_symmetric_input(self, rng):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from trideco import gl3, oracle, report, sl3, tensorio
+from trideco import constitutive as cons
+from trideco import gl3, o3, oracle, report, sl3, tensorio
 from trideco.symmetrizers import GroupAlgebraElement
 from trideco.tensor import EUCLIDEAN, Metric, Tensor3
 
@@ -94,10 +95,17 @@ class TestBuildReport:
             assert "not mutually orthogonal" not in o3_result.render_text()
 
 
-@pytest.mark.parametrize("level, gathers", [("gl3", 2), ("o3", 2), ("sl3", 2), ("so3", 4)])
+#: the input of each report shape; ``level`` names the mode for piezo and Hall
+_INPUTS = {"piezo": unit_pair_symmetric, "hall": unit_pair_antisymmetric}
+
+
+@pytest.mark.parametrize(
+    "level, gathers",
+    [("gl3", 2), ("o3", 2), ("sl3", 2), ("so3", 4), ("piezo", 2), ("hall", 2)],
+)
 def test_each_projection_is_evaluated_once(monkeypatch, rng, level, gathers):
     # s and a everywhere, plus the two plain mixed components at so3; the
-    # symmetry class reuses s and a
+    # symmetry class reuses s and a, and the piezo and Hall slices keep them
     calls = []
     gather = GroupAlgebraElement.on_components
 
@@ -105,9 +113,43 @@ def test_each_projection_is_evaluated_once(monkeypatch, rng, level, gathers):
         calls.append(self)
         return gather(self, x)
 
+    t = _INPUTS.get(level, unit_tensor)(rng)
+    mode = level if level in _INPUTS else "generic"
     monkeypatch.setattr(GroupAlgebraElement, "on_components", counted)
-    report.build_report(unit_tensor(rng), level)
+    report.build_report(t, "o3" if level in _INPUTS else level, mode=mode)
     assert len(calls) == gathers
+
+
+def _public_parts(t, level, family, mode, metric):
+    """The parts of ``t`` from the public decomposition matching a report."""
+    if mode == "piezo":
+        d = cons.piezo_decompose(cons.PiezoTensor(t), metric)
+        return [d.k_part, d.r_part, d.m_part, d.p_part]
+    if mode == "hall":
+        h = cons.hall_decompose(cons.HallTensor(t), metric)
+        return [h.a, h.m_part, h.p_part]
+    if level == "gl3":
+        g = gl3.decompose(t, family)
+        return [g.s, g.a, g.n1, g.n2]
+    o = o3.decompose(t, metric)
+    return [o.k_part, o.r_part, o.a, o.m_part, o.p_part]
+
+
+@pytest.mark.parametrize("metric", [EUCLIDEAN, DIAG_METRIC], ids=["euclid", "diag211"])
+@pytest.mark.parametrize(
+    "level, family, mode",
+    [("o3", None, "generic"), *[("gl3", f, "generic") for f in gl3.FAMILIES],
+     ("o3", None, "piezo"), ("o3", None, "hall")],
+    ids=["o3", *[f"gl3-{f}" for f in gl3.FAMILIES], "piezo", "hall"],
+)
+def test_report_and_public_call_agree_bit_for_bit(rng, metric, level, family, mode):
+    # both read the one part table, so they compute the same arithmetic
+    t = _INPUTS.get(mode, unit_tensor)(rng)
+    result = report.build_report(t, level=level, family=family, mode=mode, metric=metric)
+    public = _public_parts(t, level, family, mode, metric)
+    assert len(result.parts) == len(public)
+    for part, expected in zip(result.parts, public):
+        assert np.array_equal(part.tensor.components, expected.components)
 
 
 class TestReportParts:

@@ -56,6 +56,20 @@ def test_reconstruction_solves_use_no_shipped_closed_form():
     assert not used & forbidden
 
 
+def test_projections_the_solves_call_read_no_part_table():
+    # solve_reconstruction calls these, so they stay off the rules it checks
+    tree = ast.parse((ROOT / "src/trideco/gl3.py").read_text(encoding="utf-8"))
+    names = {"symmetric_part", "antisymmetric_part", "residue_part", "n_split"}
+    functions = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in names
+    ]
+    assert {node.name for node in functions} == names
+    for function in functions:
+        used = {node.id for node in ast.walk(function) if isinstance(node, ast.Name)}
+        used |= {node.attr for node in ast.walk(function) if isinstance(node, ast.Attribute)}
+        assert not used & {"evaluate", "PARTS", "_RULES"}, function.name
+
+
 def test_every_traced_callable_exists():
     # a traced run wraps these by name, so renaming or removing one breaks it
     spans = _load_by_path("perfbench_spans", "perfbench/spans.py")
