@@ -64,6 +64,35 @@ def skew_parametrizations(metric):
     return float(np.mean(piezo_ratios)), float(np.mean(hall_ratios))
 
 
+def trace_weights(metric):
+    """The slot weights that place a tensor's traces back as its pure-trace part.
+
+    Solves for the 3x3 ``w`` with ``x - sum_a place_a(sum_b w[a, b] t_b)``
+    traceless for all 27 basis tensors ``x``, where ``t_b`` are the traces
+    of ``x`` over the pairs (1,2), (1,3), (2,3) and ``place_a`` puts a vector
+    in slot ``a`` and the inverse metric on the other two.  Returns the
+    weights and the rank of the system.
+    """
+    def traces(x):
+        return [np.einsum(s, metric.g, x) for s in ("ij,ijk->k", "ij,ikj->k", "ij,kij->k")]
+
+    def place(v, slot):
+        return np.einsum(("i,jk->ijk", "j,ik->ijk", "k,ij->ijk")[slot], v, metric.g_inv)
+
+    features, targets = [], []
+    for x in np.eye(27).reshape(27, 3, 3, 3):
+        t = traces(x)
+        features.append(
+            np.stack([np.concatenate(traces(place(t[b], a))) for a in range(3) for b in range(3)],
+                     axis=1)
+        )
+        targets.append(np.concatenate(t))
+    weights, _, system_rank, _ = np.linalg.lstsq(
+        np.concatenate(features), np.concatenate(targets), rcond=None
+    )
+    return weights.reshape(3, 3), int(system_rank)
+
+
 def main() -> int:
     print("reconstruction solves (least squares over the full basis):")
     for system, labels, shipped, _ in oracle.SHIPPED_CONSTANTS:
@@ -83,6 +112,10 @@ def main() -> int:
               f"pair-antisymmetric {hl:+.12f}")
         assert abs(pz - constitutive.PIEZO_SKEW_FROM_TRACE) < 1e-10
         assert abs(hl - constitutive.HALL_SKEW_FROM_TRACE) < 1e-10
+
+        weights, system_rank = trace_weights(metric)
+        print(f"trace weights ({tag}, rank {system_rank}): "
+              f"{np.round(weights * 10, 12).tolist()} / 10")
 
     notes_path = Path(__file__).resolve().parent.parent / "FORMULA_NOTES.txt"
     oracle.write_formula_notes(notes_path)

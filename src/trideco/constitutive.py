@@ -129,18 +129,17 @@ def piezo_decompose(d: PiezoTensor, metric: Metric = EUCLIDEAN) -> PiezoParts:
     ``parts.evaluate`` call, the same table the reports read.
     """
     t = d.tensor
-    arrays = parts.evaluate(
-        ("piezo_s", "piezo_n", "piezo_k", "piezo_r", "piezo_m", "piezo_p"),
+    *arrays, s_traces, n_traces = parts.evaluate(
+        ("piezo_s", "piezo_n", "piezo_k", "piezo_r", "piezo_m", "piezo_p", "symmetric_traces",
+         "piezo_n_traces"),
         t.components,
         metric,
     )
-    s, n = arrays[:2]
-    alpha = parts.trace(s, metric.g, (0, 1))
-    beta, _ = parts.plain_trace_vectors(n, metric.g)
+    beta, _ = parts.plain_trace_vectors(n_traces)
     return PiezoParts(
         *(Tensor3(x, "upper", t.parity) for x in arrays),
-        *(Vector3(v, "upper", t.parity) for v in (alpha, beta)),
-        *_piezo_matrix(n, t.parity, metric),
+        *(Vector3(v, "upper", t.parity) for v in (s_traces[0], beta)),
+        *_piezo_matrix(arrays[1], t.parity, metric),
         metric=metric,
     )
 
@@ -204,7 +203,9 @@ def hall_decompose(h: HallTensor, metric: Metric = EUCLIDEAN) -> HallParts:
     """
     t = h.tensor
     x = t.components
-    a, n, m, p = parts.evaluate(("hall_a", "hall_n", "hall_m", "hall_p"), x, metric)
+    a, n, m, p, n_traces = parts.evaluate(
+        ("hall_a", "hall_n", "hall_m", "hall_p", "hall_n_traces"), x, metric
+    )
     a_check, a_sym, a_skew = _hall_matrix(n, t.parity, metric)
 
     def tensor(components):
@@ -216,7 +217,7 @@ def hall_decompose(h: HallTensor, metric: Metric = EUCLIDEAN) -> HallParts:
         m_part=tensor(m),
         p_part=tensor(p),
         a_scalar=pseudo_scalar_of(x),
-        v_vec=Vector3(parts.trace(x, metric.g_inv, (0, 2)), "lower", t.parity),
+        v_vec=Vector3(n_traces[1], "lower", t.parity),
         a_check=a_check,
         a_sym=a_sym,
         a_skew=a_skew,

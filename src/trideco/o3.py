@@ -43,17 +43,18 @@ class TraceVectors:
 def trace_vectors(t: Tensor3, metric: Metric = EUCLIDEAN) -> TraceVectors:
     """The three metric contractions over slot pairs (1,2), (1,3), (2,3)."""
     _require_upper(t, "trace_vectors")
-    return TraceVectors(*_vectors(t.parity, *parts.trace_vectors(t.components, metric.g)))
+    return TraceVectors(*_vectors(t.parity, *parts.traces(t.components, metric.g)))
 
 
 def _vectors(parity: int, *vectors) -> tuple[Vector3, ...]:
     return tuple(Vector3(v, "upper", parity) for v in vectors)
 
 
-def _split(x, rule: str, parity: int, metric: Metric) -> tuple[Tensor3, Tensor3]:
-    """The part ``rule`` of ``parts.PARTS`` applied to ``x``, and the rest."""
-    piece = parts.PARTS[rule].rule(x, metric)
-    return Tensor3(piece, "upper", parity), Tensor3(x - piece, "upper", parity)
+def _split(x, parity: int, metric: Metric) -> tuple[Tensor3, Tensor3, np.ndarray]:
+    """The pure-trace part of ``x``, the traceless rest and the traces of ``x``."""
+    t = parts.traces(x, metric.g)
+    piece = parts.from_traces(t, metric.g_inv)
+    return Tensor3(piece, "upper", parity), Tensor3(x - piece, "upper", parity), t
 
 
 def s_trace_split(
@@ -63,15 +64,16 @@ def s_trace_split(
 
     Returns ``(k_part, r_part, alpha)`` with ``k_part + r_part == s``, all
     three metric traces of ``r_part`` zero, and ``alpha`` the single
-    independent trace vector of ``s``.  The 1/5 weight on the trace part is
-    exactly what makes the remainder traceless.
+    independent trace vector of ``s``.  The trace part is the one trace
+    projection of ``parts``; on a fully symmetric tensor it puts
+    ``alpha / 5`` in each slot.
     """
     _require_upper(s, "s_trace_split")
     x = s.components
     if max_abs(x - parts.symmetric(x)) > tol * _validation_scale(s):
         raise SymmetryError("s_trace_split expects a fully symmetric tensor")
-    alpha = parts.trace(x, metric.g, (0, 1))
-    return (*_split(x, "k_part", s.parity, metric), *_vectors(s.parity, alpha))
+    k_part, r_part, t = _split(x, s.parity, metric)
+    return (k_part, r_part, *_vectors(s.parity, t[0]))
 
 
 def n_trace_split(
@@ -79,11 +81,10 @@ def n_trace_split(
 ) -> tuple[Tensor3, Tensor3, Vector3, Vector3]:
     """Split a mixed-symmetry tensor into its trace part and traceless rest.
 
-    Returns ``(m_part, p_part, beta, gamma)``.  The trace part is assembled
-    from the tensor's own trace vectors with 1/6 weights; ``beta`` and
-    ``gamma`` are the independent trace vectors of the two plain-family
-    components and determine the same trace part through the per-family
-    formulas.
+    Returns ``(m_part, p_part, beta, gamma)``.  The trace part is the one
+    trace projection of ``parts`` applied to the tensor's own traces;
+    ``beta`` and ``gamma`` are the independent trace vectors of the two
+    plain-family components, whose trace parts add up to the same one.
     """
     _require_upper(n, "n_trace_split")
     x = n.components
@@ -93,8 +94,8 @@ def n_trace_split(
         or max_abs(parts.antisymmetric(x)) > tol * scale
     ):
         raise SymmetryError("n_trace_split expects a mixed-symmetry tensor")
-    beta_gamma = parts.plain_trace_vectors(x, metric.g)
-    return (*_split(x, "m_part", n.parity, metric), *_vectors(n.parity, *beta_gamma))
+    m_part, p_part, t = _split(x, n.parity, metric)
+    return (m_part, p_part, *_vectors(n.parity, *parts.plain_trace_vectors(t)))
 
 
 def n_family_trace_split(
@@ -102,8 +103,8 @@ def n_family_trace_split(
 ) -> tuple[Tensor3, Tensor3, Tensor3, Tensor3]:
     """Trace/traceless split of the two plain-family components.
 
-    Returns ``(m1, p1, m2, p2)``; the 1/4 weights solve the traceless
-    conditions on each branch.
+    Returns ``(m1, p1, m2, p2)``; each trace part is the one trace
+    projection of ``parts`` applied to its branch.
     """
     _require_upper(n1, "n_family_trace_split")
     _require_upper(n2, "n_family_trace_split")
@@ -112,7 +113,7 @@ def n_family_trace_split(
         raise SymmetryError("first component must be symmetric in slots 1,2")
     if max_abs(x2 - np.transpose(x2, (2, 1, 0))) > tol * _validation_scale(n2):
         raise SymmetryError("second component must be symmetric in slots 1,3")
-    return (*_split(x1, "m1_part", n1.parity, metric), *_split(x2, "m2_part", n2.parity, metric))
+    return (*_split(x1, n1.parity, metric)[:2], *_split(x2, n2.parity, metric)[:2])
 
 
 def orthogonality_matrix(parts, metric: Metric = EUCLIDEAN) -> np.ndarray:
@@ -143,13 +144,13 @@ class O3Parts:
 def decompose(t: Tensor3, metric: Metric = EUCLIDEAN) -> O3Parts:
     """The unique five-part metric decomposition of a generic tensor."""
     _require_upper(t, "decompose")
-    *tensors, s, n = parts.evaluate(
-        ("k_part", "r_part", "antisymmetric", "m_part", "p_part", "symmetric", "residue"),
+    *tensors, s_traces, n_traces = parts.evaluate(
+        ("k_part", "r_part", "antisymmetric", "m_part", "p_part", "symmetric_traces",
+         "residue_traces"),
         t.components,
         metric,
     )
-    alpha = parts.trace(s, metric.g, (0, 1))
     return O3Parts(
         *(Tensor3(x, "upper", t.parity) for x in tensors),
-        *_vectors(t.parity, alpha, *parts.plain_trace_vectors(n, metric.g)),
+        *_vectors(t.parity, s_traces[0], *parts.plain_trace_vectors(n_traces)),
     )

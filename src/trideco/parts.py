@@ -2,23 +2,36 @@
 
 ``PARTS`` maps each part name to the dimension of its subspace and a rule
 that computes the part from the parts it refines: the symmetric part from
-the input, the trace piece ``k_part`` from the symmetric part, the traceless
-rest as ``r_part = symmetric - k_part``, the residue as ``x - s - a``, and
-so on down the hierarchy.  ``evaluate(names, x, metric)`` computes any list
-of parts of one ``x`` through a dictionary kept for that call, so each part
-on the way, named or refined, is computed once; ``Part.form(x, metric)`` is
-the same evaluation for one part.  ``x`` holds components of shape
-``(..., 3, 3, 3)``; leading axes are a batch.  Each part is linear in ``x``,
-takes the metric verbatim and is a new array of the same shape, except
-``identity``, which is ``x`` itself, and the parts that equal another part,
-which are that part's array.
+the input, the trace piece ``k_part`` from the symmetric part's traces, the
+traceless rest as ``r_part = symmetric - k_part``, the residue as
+``x - s - a``, and so on down the hierarchy.  ``evaluate(names, x,
+metric)`` computes any list of parts of one ``x`` through a dictionary kept
+for that call, so each part on the way, named or refined, is computed once;
+``Part.form(x, metric)`` is the same evaluation for one part.  ``x`` holds
+components of shape ``(..., 3, 3, 3)``; leading axes are a batch.  Each
+part is linear in ``x``, takes the metric verbatim and is a new array of
+the same shape, except ``identity``, which is ``x`` itself, and the parts
+that equal another part, which are that part's array.
 
 One table serves every reader.  The reports, the oracle's operator matrices
 and the public decompositions of ``gl3``, ``o3``, ``so3`` and
 ``constitutive`` all get their parts from one ``evaluate`` call; a public
 function handed a part already split (``o3.s_trace_split`` and its
-siblings) applies that part's rule to it.  The oracle's least-squares
-solves never evaluate the rules, nor do the ``gl3`` projections they call.
+siblings) applies the trace kernels below to it.  The oracle's
+least-squares solves never evaluate the rules, nor do the ``gl3``
+projections they call.
+
+Every trace part is one projection.  A pure-trace tensor holds a vector in
+one slot and the inverse metric on the other two; ``traces(x, m)`` stacks
+the three traces of ``x`` and ``from_traces(t, m_inv)`` is the pure-trace
+tensor with traces ``t``.  Their composition projects onto the pure-trace
+tensors and commutes with every slot permutation, so it is the trace part
+of ``symmetric``, ``residue``, each plain-family member and the piezo and
+Hall mixed parts alike.  Each of these has a ``<name>_traces`` entry
+outside the ledger, which its trace part and the public calls' trace
+vectors both read, so each trace is contracted once.  The slot weights
+``_TRACE_WEIGHTS`` invert the traces of the three placements;
+``scripts/derive_constants.py`` solves for them independently.
 
 The pair-symmetric (piezo) and pair-antisymmetric (Hall) shapes change only
 the mixed part.  The full symmetrizer absorbs the slot swap, so ``piezo_s``,
@@ -35,35 +48,45 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .symmetrizers import FULL_ANTISYMMETRIZER, FULL_SYMMETRIZER, MIXED_PAIRS
+from .symmetrizers import _SLOT_ACTION, FULL_ANTISYMMETRIZER, FULL_SYMMETRIZER, MIXED_PAIRS
 from .tensor import Metric
 
-#: einsum subscripts of the contraction over each slot pair
-_TRACE = {(0, 1): "ij,...ijk->...k", (0, 2): "ij,...ikj->...k", (1, 2): "ij,...kij->...k"}
-#: einsum subscripts placing a vector in one slot and a matrix on the other two
-_PURE = ("...i,jk->...ijk", "...j,ik->...ijk", "...k,ij->...ijk")
+#: rows of the identity, (23) and (132) slot actions: the first two slots of
+#: each gathered copy are the pair (1,2), (1,3) or (2,3) of the input
+_TRACE_GATHER = _SLOT_ACTION[[0, 3, 5]]
+#: ``_TRACE_WEIGHTS @ t`` are the vectors of slots 1, 2 and 3 of the pure-trace
+#: tensor with traces ``t``: a vector in slot 1, 2 or 3 has traces (1, 1, 3),
+#: (1, 3, 1) or (3, 1, 1) times itself, and these weights invert that matrix
+_TRACE_WEIGHTS = np.array([[-1.0, -1.0, 4.0], [-1.0, 4.0, -1.0], [4.0, -1.0, -1.0]]) / 10.0
 
 
-def trace(x: np.ndarray, m: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
-    """Contract the slot pair ``pair`` of ``x`` with the matrix ``m``."""
-    return np.einsum(_TRACE[pair], m, x)
+def traces(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The traces of ``x`` over slot pairs (1,2), (1,3) and (2,3), contracted
+    with the matrix ``m`` and stacked as ``(..., 3, 3)``."""
+    batch = x.shape[:-3]
+    gathered = x.reshape(batch + (27,))[..., _TRACE_GATHER]
+    return m.reshape(9) @ gathered.reshape(batch + (3, 9, 3))
 
 
-def pure_trace(v: np.ndarray, m: np.ndarray, slot: int) -> np.ndarray:
-    """The tensor holding ``v`` in slot ``slot`` and ``m`` on the other two."""
-    return np.einsum(_PURE[slot], v, m)
+def from_traces(t: np.ndarray, m_inv: np.ndarray) -> np.ndarray:
+    """The pure-trace tensor whose traces are ``t``: each slot holds its
+    vector of ``_TRACE_WEIGHTS @ t`` and the other two hold ``m_inv``.
+
+    ``from_traces(traces(x, m), inverse of m)`` projects ``x`` onto the
+    pure-trace tensors and leaves a traceless rest.
+    """
+    v = _TRACE_WEIGHTS @ t
+    return (
+        v[..., 0, :, None, None] * m_inv
+        + v[..., 1, None, :, None] * m_inv[:, None, :]
+        + v[..., 2, None, None, :] * m_inv[:, :, None]
+    )
 
 
-def trace_vectors(x: np.ndarray, m: np.ndarray):
-    """The traces over slot pairs (1,2), (1,3) and (2,3)."""
-    return trace(x, m, (0, 1)), trace(x, m, (0, 2)), trace(x, m, (1, 2))
-
-
-def plain_trace_vectors(n: np.ndarray, m: np.ndarray):
+def plain_trace_vectors(t: np.ndarray):
     """The trace vectors ``(beta, gamma)`` of the two plain-family
-    components of the mixed part ``n``, from its traces ``u, v, w``."""
-    u, v, w = trace_vectors(n, m)
-    return 2.0 / 3.0 * (u - w), 2.0 / 3.0 * (v - w)
+    components of a mixed part with traces ``t``."""
+    return 2.0 / 3.0 * (t[..., 0, :] - t[..., 2, :]), 2.0 / 3.0 * (t[..., 1, :] - t[..., 2, :])
 
 
 def symmetric(x: np.ndarray) -> np.ndarray:
@@ -95,49 +118,8 @@ def pair_antisymmetric(x: np.ndarray) -> np.ndarray:
     return (x - np.swapaxes(x, -3, -2)) / 2.0
 
 
-def symmetric_trace_part(alpha: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
-    """Trace part of a fully symmetric tensor with trace vector ``alpha``.
-
-    The 1/5 weight is exactly what makes the remainder traceless.
-    """
-    return (
-        pure_trace(alpha, g_inv, 0) + pure_trace(alpha, g_inv, 1) + pure_trace(alpha, g_inv, 2)
-    ) / 5.0
-
-
-def mixed_trace_part(u, v, w, g_inv: np.ndarray) -> np.ndarray:
-    """Trace part of a mixed-symmetry tensor with trace vectors ``u, v, w``."""
-    return (
-        pure_trace(2 * u - v - w, g_inv, 2)
-        + pure_trace(2 * w - u - v, g_inv, 0)
-        + pure_trace(2 * v - u - w, g_inv, 1)
-    ) / 6.0
-
-
-def first_trace_part(n1: np.ndarray, g: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
-    """Trace part of a slots-1,2-symmetric plain-family component."""
-    beta = trace(n1, g, (0, 1))
-    return (2 * pure_trace(beta, g_inv, 2) - pure_trace(beta, g_inv, 0)
-            - pure_trace(beta, g_inv, 1)) / 4.0
-
-
-def second_trace_part(n2: np.ndarray, g: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
-    """Trace part of a slots-1,3-symmetric plain-family component."""
-    gamma = trace(n2, g, (0, 2))
-    return (2 * pure_trace(gamma, g_inv, 1) - pure_trace(gamma, g_inv, 0)
-            - pure_trace(gamma, g_inv, 2)) / 4.0
-
-
-def _symmetric_trace(s, metric):
-    return symmetric_trace_part(trace(s, metric.g, (0, 1)), metric.g_inv)
-
-
-def _mixed_trace(n, metric):
-    return mixed_trace_part(*trace_vectors(n, metric.g), metric.g_inv)
-
-
-def _lower_mixed_trace(n, metric):
-    return mixed_trace_part(*trace_vectors(n, metric.g_inv), metric.g)
+def _trace_part(t, metric):
+    return from_traces(t, metric.g_inv)
 
 
 def _rest(whole, piece, metric):
@@ -180,17 +162,13 @@ PARTS: dict[str, Part] = {
         for family in MIXED_PAIRS
         for member in (0, 1)
     },
-    "k_part": Part(3, ("symmetric",), _symmetric_trace),
+    "k_part": Part(3, ("symmetric_traces",), _trace_part),
     "r_part": Part(7, ("symmetric", "k_part"), _rest),
-    "m_part": Part(6, ("residue",), _mixed_trace),
+    "m_part": Part(6, ("residue_traces",), _trace_part),
     "p_part": Part(10, ("residue", "m_part"), _rest),
-    "m1_part": Part(
-        3, ("n1_plain",), lambda n1, metric: first_trace_part(n1, metric.g, metric.g_inv)
-    ),
+    "m1_part": Part(3, ("n1_plain_traces",), _trace_part),
     "p1_part": Part(5, ("n1_plain", "m1_part"), _rest),
-    "m2_part": Part(
-        3, ("n2_plain",), lambda n2, metric: second_trace_part(n2, metric.g, metric.g_inv)
-    ),
+    "m2_part": Part(3, ("n2_plain_traces",), _trace_part),
     "p2_part": Part(5, ("n2_plain", "m2_part"), _rest),
     # P_sym P_pair = P_sym and P_anti P_pairanti = P_anti: the slices keep
     # the generic symmetric and antisymmetric parts
@@ -198,17 +176,27 @@ PARTS: dict[str, Part] = {
     "piezo_n": Part(8, ("pair_symmetric", "piezo_s"), _rest),
     "piezo_k": Part(3, ("k_part",), _same),
     "piezo_r": Part(7, ("r_part",), _same),
-    "piezo_m": Part(3, ("piezo_n",), _mixed_trace),
+    "piezo_m": Part(3, ("piezo_n_traces",), _trace_part),
     "piezo_p": Part(5, ("piezo_n", "piezo_m"), _rest),
     "hall_a": Part(1, ("antisymmetric",), _same),
     "hall_n": Part(8, ("pair_antisymmetric", "hall_a"), _rest),
-    "hall_m": Part(3, ("hall_n",), _lower_mixed_trace),
+    "hall_m": Part(3, ("hall_n_traces",), lambda t, metric: from_traces(t, metric.g)),
     "hall_p": Part(5, ("hall_n", "hall_m"), _rest),
 }
 
-#: the ledger's parts and the two slices the piezo and Hall parts refine
+#: the upper-variance parts that have a trace part, and its dimension
+_TRACED = {"symmetric": 3, "residue": 6, "n1_plain": 3, "n2_plain": 3, "piezo_n": 3}
+
+#: the ledger's parts, the two slices the piezo and Hall parts refine, and
+#: the stacked traces of each part that has a trace part; their ``dim`` is
+#: the rank of the traces, the dimension of the trace part
 _RULES: dict[str, Part] = {
     **PARTS,
+    **{
+        f"{name}_traces": Part(dim, (name,), lambda x, metric: traces(x, metric.g))
+        for name, dim in _TRACED.items()
+    },
+    "hall_n_traces": Part(3, ("hall_n",), lambda n, metric: traces(n, metric.g_inv)),
     "pair_symmetric": Part(18, ("identity",), lambda x, metric: pair_symmetric(x)),
     "pair_antisymmetric": Part(9, ("identity",), lambda x, metric: pair_antisymmetric(x)),
 }

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import parts, sl3
 from .sl3 import EPSILON, Sl3Parts
 from .tensor import (
@@ -102,9 +104,9 @@ def so3_representation(t: Tensor3, metric: Metric = EUCLIDEAN) -> So3Representat
     # the traceless contraction matrices of t are those of its mixed part
     contractions = sl3.epsilon_contractions(t)
     split = so3_split(contractions, metric)
-    s, r_part = parts.evaluate(("symmetric", "r_part"), t.components, metric)
+    s_traces, r_part = parts.evaluate(("symmetric_traces", "r_part"), t.components, metric)
     return So3Representation(
-        alpha=Vector3(parts.trace(s, metric.g, (0, 1)), "upper", t.parity),
+        alpha=Vector3(s_traces[0], "upper", t.parity),
         r_part=Tensor3(r_part, "upper", t.parity),
         a_scalar=contractions.a_scalar,
         e_mat=split.e_mat,
@@ -140,7 +142,8 @@ def reassemble(rep: So3Representation, metric: Metric = EUCLIDEAN) -> Tensor3:
     """Invert ``so3_representation``; exact up to rounding."""
     if (rep.r_part.variance, rep.r_part.parity) != ("upper", 0):
         raise VarianceError("reassemble expects a proper upper-variance r_part")
-    k = parts.symmetric_trace_part(rep.alpha.components, metric.g_inv)
+    # a fully symmetric tensor has the same trace alpha over every pair
+    k = parts.from_traces(np.broadcast_to(rep.alpha.components, (3, 3)), metric.g_inv)
     rest = k + rep.r_part.components + rep.a_scalar * EPSILON
     # the mixed matrices carry rounding of the whole tensor's size, so their
     # traces are judged against the rest of it too

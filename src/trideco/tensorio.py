@@ -27,7 +27,8 @@ def _load_json(path) -> dict:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: arrays nested deeper than the decoder's stack
         raise InputFormatError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputFormatError(f"{path}: expected a JSON object")
@@ -39,10 +40,22 @@ def _as_array(data, shape, where) -> np.ndarray:
         arr = np.array(data, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise InputFormatError(f"{where}: components must be numbers") from exc
+    except OverflowError as exc:
+        raise InputFormatError(f"{where}: components must be finite") from exc
     if arr.shape != shape:
         raise InputFormatError(f"{where}: expected shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InputFormatError(f"{where}: components must be finite")
+    return arr
+
+
+def _json_array(data, shape, where) -> np.ndarray:
+    """``_as_array`` of a value read from JSON, whose entries must be JSON
+    numbers: ``np.array`` would also turn strings such as ``"1.5"`` and
+    booleans into floats."""
+    arr = _as_array(data, shape, where)
+    if any(type(value) not in (int, float) for value in np.array(data, dtype=object).flat):
+        raise InputFormatError(f"{where}: components must be numbers")
     return arr
 
 
@@ -53,11 +66,12 @@ def read_tensor(path) -> Tensor3:
     if variance not in ("upper", "lower"):
         raise InputFormatError(f'{path}: "variance" must be "upper" or "lower"')
     parity = data.get("parity", 0)
-    if parity not in (0, 1):
-        raise InputFormatError(f'{path}: "parity" must be 0 or 1')
+    # exact type: True and 1.0 compare equal to 1
+    if type(parity) is not int or parity not in (0, 1):
+        raise InputFormatError(f'{path}: "parity" must be the integer 0 or 1')
     if "components" not in data:
         raise InputFormatError(f'{path}: missing "components"')
-    components = _as_array(data["components"], (3, 3, 3), str(path))
+    components = _json_array(data["components"], (3, 3, 3), str(path))
     return Tensor3(components, variance, parity)
 
 
@@ -77,7 +91,7 @@ def read_metric(path) -> Metric:
     data = _load_json(path)
     if "g" not in data:
         raise InputFormatError(f'{path}: missing "g"')
-    g = _as_array(data["g"], (3, 3), str(path))
+    g = _json_array(data["g"], (3, 3), str(path))
     try:
         return Metric(g)
     except TensorError as exc:
@@ -106,7 +120,7 @@ def read_voigt(path) -> PiezoTensor:
     data = _load_json(path)
     if "voigt" not in data:
         raise InputFormatError(f'{path}: missing "voigt"')
-    return voigt_to_tensor(data["voigt"])
+    return voigt_to_tensor(_json_array(data["voigt"], (3, 6), str(path)))
 
 
 def write_voigt(d: PiezoTensor, path) -> None:

@@ -107,6 +107,11 @@ class TestExitCodes:
         path.write_text("{not json")
         assert main(["--input", str(path)]) == 2
 
+    def test_json_nested_too_deep_is_exit_2(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"variance": "upper", "components": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert main(["--input", str(path)]) == 2
+
     def test_wrong_shape(self, tmp_path):
         path = tmp_path / "flat.json"
         path.write_text(json.dumps({"variance": "upper", "components": [1, 2, 3]}))
@@ -121,6 +126,44 @@ class TestExitCodes:
         path = tmp_path / "lower.json"
         tensorio.write_tensor(unit_tensor(rng, "lower"), path)
         assert main(["--input", str(path), "--level", "o3"]) == 3
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda doc: doc["components"][0][0].__setitem__(0, "1.5"),
+            lambda doc: doc["components"][1][2].__setitem__(2, True),
+            lambda doc: doc["components"][2][1].__setitem__(0, 10**400),
+            lambda doc: doc.update(parity=True),
+            lambda doc: doc.update(parity=1.0),
+        ],
+        ids=["string-component", "boolean-component", "overflowing-integer", "boolean-parity",
+             "float-parity"],
+    )
+    def test_tensor_entry_that_is_not_a_number_is_exit_2(self, tmp_path, rng, change, capsys):
+        document = tensorio.tensor_to_dict(unit_tensor(rng))
+        change(document)
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(document))
+        assert main(["--input", str(path)]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("entry", ["2.0", True], ids=["string", "boolean"])
+    def test_metric_entry_that_is_not_a_number_is_exit_2(self, tmp_path, rng, entry):
+        tensor_path = tmp_path / "t.json"
+        tensorio.write_tensor(unit_tensor(rng), tensor_path)
+        g = np.eye(3).tolist()
+        g[0][0] = entry
+        metric_path = tmp_path / "g.json"
+        metric_path.write_text(json.dumps({"g": g}))
+        assert main(["--input", str(tensor_path), "--metric", str(metric_path)]) == 2
+
+    @pytest.mark.parametrize("entry", ["0.5", False], ids=["string", "boolean"])
+    def test_voigt_entry_that_is_not_a_number_is_exit_2(self, tmp_path, rng, entry):
+        table = rng.uniform(-1, 1, (3, 6)).tolist()
+        table[1][4] = entry
+        path = tmp_path / "piezo_voigt.json"
+        path.write_text(json.dumps({"voigt": table}))
+        assert main(["--voigt", str(path)]) == 2
 
     def test_no_input(self):
         assert main([]) == 2

@@ -6,9 +6,10 @@ import ast
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from trideco import constitutive, oracle, so3
+from trideco import constitutive, oracle, parts, so3
 from trideco.tensor import EUCLIDEAN
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,6 +40,24 @@ def test_derived_constants_match_the_shipped_ones(metric):
     assert abs(hall - constitutive.HALL_SKEW_FROM_TRACE) < 1e-10
 
 
+@pytest.mark.parametrize("metric", [EUCLIDEAN, derive_constants.DIAG], ids=["euclid", "diag211"])
+def test_solved_trace_weights_match_the_shipped_ones(metric):
+    weights, system_rank = derive_constants.trace_weights(metric)
+    assert system_rank == 9
+    assert np.max(np.abs(weights - parts._TRACE_WEIGHTS)) < 1e-12
+
+
+def test_trace_weights_reproduce_the_solved_trace_constants():
+    shipped = {system: coeffs for system, _, coeffs, _ in oracle.SHIPPED_CONSTANTS}
+    # a fully symmetric tensor has the same trace over every pair
+    (weight,) = shipped["k_from_trace"]
+    assert np.allclose(parts._TRACE_WEIGHTS @ [1.0, 1.0, 1.0], [weight] * 3, rtol=0, atol=1e-15)
+    # a slots-1,2-symmetric plain member with trace beta over (1,2) has
+    # -beta/2 over the other two pairs
+    x, y = shipped["m1_from_trace"]
+    assert np.allclose(parts._TRACE_WEIGHTS @ [1.0, -0.5, -0.5], [x, x, y], rtol=0, atol=1e-15)
+
+
 def test_reconstruction_solves_use_no_shipped_closed_form():
     # the solves check the shipped formulas only while they do not reuse them
     tree = ast.parse((ROOT / "src/trideco/oracle.py").read_text(encoding="utf-8"))
@@ -51,7 +70,7 @@ def test_reconstruction_solves_use_no_shipped_closed_form():
     forbidden = {
         "contraction", "from_matrix", "axial", "from_axial", "PARTS", "constitutive",
         "RECONSTRUCTION_COEFF", "PIEZO_RECONSTRUCTION_COEFF", "HALL_RECONSTRUCTION_COEFFS",
-        "HALL_MATRIX_WEIGHTS", "evaluate",
+        "HALL_MATRIX_WEIGHTS", "evaluate", "traces", "from_traces", "_TRACE_WEIGHTS",
     }
     assert not used & forbidden
 
