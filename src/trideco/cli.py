@@ -42,7 +42,9 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", metavar="PATH", dest="json_path",
                         help="also write the JSON report here")
     parser.add_argument("--tol", type=float, default=1e-12,
-                        help="display threshold for residuals (default: 1e-12)")
+                        help="relative factor of the Gram orthogonality flag: off-diagonal "
+                             "entries above tol times the largest diagonal entry are "
+                             "flagged (default: 1e-12)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for the self-check random-tensor suite")
     parser.add_argument("--self-check", action="store_true",

@@ -5,8 +5,12 @@ components) has no fully antisymmetric part and its mixed part cannot be
 split further: the decomposition is unique.  A tensor antisymmetric in its
 first two slots (the Hall shape, 9 components) has no fully symmetric part
 and likewise decomposes uniquely.  Both mixed parts are equivalent to a
-single traceless 3x3 pseudo-matrix; the reconstruction weights below are
-solver-verified (FORMULA_NOTES.txt).
+single traceless 3x3 pseudo-matrix whose symmetric and skew halves, once
+``sl3.halves`` has lowered (piezo) or raised (Hall) one slot, carry the
+traceless and the trace piece; one private helper builds the matrix and its
+halves for both shapes, one rebuilds the pieces from the halves, and one
+checks and projects an ingested tensor.  The reconstruction weights below
+are solver-verified (FORMULA_NOTES.txt).
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import parts
-from .sl3 import contraction, from_matrix, pseudo_scalar_of
+from .sl3 import contraction, from_matrix, halves, pseudo_scalar_of
 from .tensor import (
     EUCLIDEAN,
     Metric,
@@ -51,20 +55,29 @@ HALL_SKEW_FROM_TRACE = -0.5
 HALL_MATRIX_WEIGHTS = (0.5, -0.5, 0.5)
 
 
-def _ingest(components: np.ndarray, defect: np.ndarray, repaired: np.ndarray,
-            what: str) -> np.ndarray:
-    asymmetry = max_abs(defect)
-    # judged against the tensor's own size, so a tiny generic tensor is not
-    # taken for a slightly noisy slice
-    scale = max_abs(components)
+def _ingest(t: Tensor3, variance: str, axes: tuple[int, int, int], sign: float,
+            what: str) -> Tensor3:
+    """``t`` projected onto the slice ``c == sign * transpose(c, axes)``.
+
+    The asymmetry is judged against the tensor's own size, so a tiny generic
+    tensor is not taken for a slightly noisy slice; the warning points at the
+    code that built the tensor, past ``__post_init__`` and the dataclass's
+    generated ``__init__``.
+    """
+    if t.variance != variance:
+        raise VarianceError(f"{what}s use {variance} variance")
+    c = t.components
+    swapped = sign * np.transpose(c, axes)
+    asymmetry = max_abs(c - swapped)
+    scale = max_abs(c)
     if asymmetry > INGEST_TOL * scale:
         raise SymmetryError(
             f"{what}: relative asymmetry {asymmetry / scale:.3e} exceeds {INGEST_TOL:.0e}"
         )
     if asymmetry > INGEST_SILENT * scale:
         warnings.warn(f"{what}: symmetrized away asymmetry {asymmetry:.3e}",
-                      stacklevel=3)
-    return repaired
+                      stacklevel=4)
+    return Tensor3((c + swapped) / 2.0, variance, t.parity)
 
 
 @dataclass(frozen=True)
@@ -78,12 +91,8 @@ class PiezoTensor:
     tensor: Tensor3
 
     def __post_init__(self):
-        if self.tensor.variance != "upper":
-            raise VarianceError("pair-symmetric tensors use upper variance")
-        c = self.tensor.components
-        swapped = np.transpose(c, (0, 2, 1))
-        repaired = _ingest(c, c - swapped, (c + swapped) / 2.0, "pair-symmetric tensor")
-        object.__setattr__(self, "tensor", Tensor3(repaired, "upper", self.tensor.parity))
+        object.__setattr__(self, "tensor", _ingest(self.tensor, "upper", (0, 2, 1), 1.0,
+                                                   "pair-symmetric tensor"))
 
 
 @dataclass(frozen=True)
@@ -93,12 +102,28 @@ class HallTensor:
     tensor: Tensor3
 
     def __post_init__(self):
-        if self.tensor.variance != "lower":
-            raise VarianceError("pair-antisymmetric tensors use lower variance")
-        c = self.tensor.components
-        swapped = np.transpose(c, (1, 0, 2))
-        repaired = _ingest(c, c + swapped, (c - swapped) / 2.0, "pair-antisymmetric tensor")
-        object.__setattr__(self, "tensor", Tensor3(repaired, "lower", self.tensor.parity))
+        object.__setattr__(self, "tensor", _ingest(self.tensor, "lower", (1, 0, 2), -1.0,
+                                                   "pair-antisymmetric tensor"))
+
+
+def _matrix(n: np.ndarray, which: str, m: np.ndarray, variances: tuple[str, str],
+            parity: int) -> tuple[Tensor2, Tensor2, Tensor2]:
+    """The ``which`` matrix of the mixed part ``n`` and the symmetric and
+    skew halves of it with its second slot moved by ``m``; ``variances`` tags
+    the matrix and the halves."""
+    parity = (parity + 1) % 2
+    raw = contraction(n, which)
+    return (Tensor2(raw, variances[0], parity),
+            *(Tensor2(half, variances[1], parity) for half in halves(raw, m)))
+
+
+def _from_halves(pair: tuple[Tensor2, Tensor2], m: np.ndarray,
+                 weights: tuple[float, float, float], variance: str) -> tuple[Tensor3, Tensor3]:
+    """Each half of ``pair`` with ``m`` moving its second slot back, rebuilt
+    as a tensor by ``weights``."""
+    return tuple(
+        Tensor3(from_matrix(half.components @ m, weights), variance, parity=0) for half in pair
+    )
 
 
 @dataclass(frozen=True)
@@ -139,19 +164,8 @@ def piezo_decompose(d: PiezoTensor, metric: Metric = EUCLIDEAN) -> PiezoParts:
     return PiezoParts(
         *(Tensor3(x, "upper", t.parity) for x in arrays),
         *(Vector3(v, "upper", t.parity) for v in (s_traces[0], beta)),
-        *_piezo_matrix(arrays[1], t.parity, metric),
+        *_matrix(arrays[1], "b", metric.g, ("lu", "ll"), t.parity),
         metric=metric,
-    )
-
-
-def _piezo_matrix(n: np.ndarray, parity: int, metric: Metric) -> tuple[Tensor2, Tensor2, Tensor2]:
-    parity = (parity + 1) % 2
-    raw = contraction(n, "b")
-    low = raw @ metric.g
-    return (
-        Tensor2(raw, "lu", parity),
-        Tensor2((low + low.T) / 2.0, "ll", parity),
-        Tensor2((low - low.T) / 2.0, "ll", parity),
     )
 
 
@@ -171,12 +185,7 @@ def piezo_parts_from_matrix(parts: PiezoParts) -> tuple[Tensor3, Tensor3]:
     The skew half carries the trace vector and rebuilds the trace piece; the
     symmetric half rebuilds the traceless piece.
     """
-    g_inv = parts.metric.g_inv
-
-    def rebuild(half: Tensor2) -> Tensor3:
-        return Tensor3(from_matrix(half.components @ g_inv, _PIEZO_WEIGHTS), "upper", parity=0)
-
-    return rebuild(parts.b_skew), rebuild(parts.b_sym)
+    return _from_halves((parts.b_skew, parts.b_sym), parts.metric.g_inv, _PIEZO_WEIGHTS, "upper")
 
 
 @dataclass(frozen=True)
@@ -206,7 +215,7 @@ def hall_decompose(h: HallTensor, metric: Metric = EUCLIDEAN) -> HallParts:
     a, n, m, p, n_traces = parts.evaluate(
         ("hall_a", "hall_n", "hall_m", "hall_p", "hall_n_traces"), x, metric
     )
-    a_check, a_sym, a_skew = _hall_matrix(n, t.parity, metric)
+    a_check, a_sym, a_skew = _matrix(n, "a", metric.g_inv, ("ul", "uu"), t.parity)
 
     def tensor(components):
         return Tensor3(components, "lower", t.parity)
@@ -225,17 +234,6 @@ def hall_decompose(h: HallTensor, metric: Metric = EUCLIDEAN) -> HallParts:
     )
 
 
-def _hall_matrix(n: np.ndarray, parity: int, metric: Metric) -> tuple[Tensor2, Tensor2, Tensor2]:
-    parity = (parity + 1) % 2
-    raw = contraction(n, "a")
-    raised = raw @ metric.g_inv
-    return (
-        Tensor2(raw, "ul", parity),
-        Tensor2((raised + raised.T) / 2.0, "uu", parity),
-        Tensor2((raised - raised.T) / 2.0, "uu", parity),
-    )
-
-
 def hall_matrix_rep(parts: HallParts) -> Tensor2:
     """Traceless pseudo-matrix equivalent to the mixed part."""
     return parts.a_check
@@ -249,9 +247,4 @@ def hall_n_from_matrix(a_check: Tensor2) -> Tensor3:
 
 def hall_parts_from_matrix(parts: HallParts) -> tuple[Tensor3, Tensor3]:
     """Trace and traceless mixed pieces rebuilt from the matrix halves."""
-    g = parts.metric.g
-
-    def rebuild(half: Tensor2) -> Tensor3:
-        return Tensor3(from_matrix(half.components @ g, HALL_MATRIX_WEIGHTS), "lower", parity=0)
-
-    return rebuild(parts.a_skew), rebuild(parts.a_sym)
+    return _from_halves((parts.a_skew, parts.a_sym), parts.metric.g, HALL_MATRIX_WEIGHTS, "lower")

@@ -1,7 +1,7 @@
 """Decomposition reports: symmetry classification, part norms, Gram matrices.
 
-The JSON document is the source of truth; the text rendering is generated
-from the same dictionary, so both carry identical numbers.
+The JSON document and the text rendering both read the report's own fields,
+so both carry identical numbers.
 """
 
 from __future__ import annotations
@@ -131,26 +131,23 @@ class DecompositionReport:
         return document
 
     def render_text(self, tol: float = 1e-12) -> str:
-        doc = self.to_dict()
+        summary = self.input_summary
         lines = [
-            f"input: norm {doc['input']['norm']:.12g}, "
-            f"class {doc['input']['symmetry_class']}, "
-            f"variance {doc['input']['variance']}",
-            f"level {doc['level']}, mode {doc['mode']}"
-            + (f", family {doc['family']}" if "family" in doc else ""),
+            f"input: norm {summary['norm']:.12g}, "
+            f"class {summary['symmetry_class']}, "
+            f"variance {summary['variance']}",
+            f"level {self.level}, mode {self.mode}"
+            + ("" if self.family is None else f", family {self.family}"),
             "",
             f"{'part':<18}{'dim':>4}{'norm':>22}{'share':>12}",
         ]
-        for part in doc["parts"]:
-            lines.append(
-                f"{part['name']:<18}{part['dim']:>4}"
-                f"{part['norm']:>22.12e}{part['share']:>12.6f}"
-            )
-        total_share = sum(part["share"] for part in doc["parts"])
+        for part in self.parts:
+            lines.append(f"{part.name:<18}{part.dim:>4}{part.norm:>22.12e}{part.share:>12.6f}")
+        total_share = sum(part.share for part in self.parts)
         lines.append(f"{'total':<18}{'':>4}{'':>22}{total_share:>12.6f}")
         lines.append("")
-        if "pseudo_scalar" in doc:
-            lines.append(f"pseudo-scalar: {doc['pseudo_scalar']:.12g}")
+        if self.pseudo_scalar is not None:
+            lines.append(f"pseudo-scalar: {self.pseudo_scalar:.12g}")
         off_diag = scale = 0.0
         gram = self.gram
         if gram.size:
@@ -161,7 +158,7 @@ class DecompositionReport:
             f"gram off-diagonal max: {off_diag:.3e}"
             + ("" if off_diag <= tol * scale else "  (parts not mutually orthogonal)")
         )
-        lines.append(f"reconstruction residual: {doc['residual']:.3e}")
+        lines.append(f"reconstruction residual: {self.residual:.3e}")
         return "\n".join(lines) + "\n"
 
 

@@ -7,7 +7,8 @@ solver-verified coefficients; see FORMULA_NOTES.txt at the repository root for
 the cross-check record.
 
 The kernels ``contraction``, ``from_matrix``, ``axial`` and ``from_axial``
-hold the library's contractions with the alternating symbol; ``so3`` and
+hold the library's contractions with the alternating symbol, and ``halves``
+its one split of a matrix into symmetric and skew halves; ``so3`` and
 ``constitutive`` call them with their own weights and matrices.
 """
 
@@ -69,6 +70,14 @@ def axial(skew: np.ndarray) -> np.ndarray:
 def from_axial(v: np.ndarray) -> np.ndarray:
     """The skew matrix ``eps_imj v_j``; ``axial(from_axial(v))`` is ``2 v``."""
     return np.einsum("imj,...j->...im", EPSILON, v)
+
+
+def halves(mat: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The symmetric and skew halves of ``mat @ m``, whose second slot ``m``
+    lowers or raises; leading axes are batch axes."""
+    moved = mat @ m
+    swapped = np.swapaxes(moved, -1, -2)
+    return (moved + swapped) / 2.0, (moved - swapped) / 2.0
 
 
 def epsilon_tensor(variance: str = "upper") -> Tensor3:

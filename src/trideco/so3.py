@@ -63,17 +63,16 @@ def so3_split(parts: Sl3Parts, metric: Metric = EUCLIDEAN) -> So3Parts:
     mixed components, so the returned vectors are the trace vectors
     themselves.
     """
-    b_low = parts.b_check.components @ metric.g
-    c_low = parts.c_check.components @ metric.g
     matrix_parity = parts.b_check.parity
     vector_parity = (matrix_parity + 1) % 2
-    e_mat = Tensor2((b_low + b_low.T) / 2.0, "ll", matrix_parity)
-    f_mat = Tensor2((c_low + c_low.T) / 2.0, "ll", matrix_parity)
-    b_axial = sl3.axial((b_low - b_low.T) / 2.0)
-    c_axial = sl3.axial((c_low - c_low.T) / 2.0)
-    beta_vec = Vector3(b_axial / AXIAL_FROM_FIRST_TRACE, "upper", vector_parity)
-    gamma_vec = Vector3(c_axial / AXIAL_FROM_SECOND_TRACE, "upper", vector_parity)
-    return So3Parts(e_mat=e_mat, f_mat=f_mat, beta_vec=beta_vec, gamma_vec=gamma_vec)
+    b_sym, b_skew = sl3.halves(parts.b_check.components, metric.g)
+    c_sym, c_skew = sl3.halves(parts.c_check.components, metric.g)
+    return So3Parts(
+        e_mat=Tensor2(b_sym, "ll", matrix_parity),
+        f_mat=Tensor2(c_sym, "ll", matrix_parity),
+        beta_vec=Vector3(sl3.axial(b_skew) / AXIAL_FROM_FIRST_TRACE, "upper", vector_parity),
+        gamma_vec=Vector3(sl3.axial(c_skew) / AXIAL_FROM_SECOND_TRACE, "upper", vector_parity),
+    )
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,11 @@ def _load_json(path) -> dict:
 
 
 def _as_array(data, shape, where) -> np.ndarray:
+    """``data`` as a finite float array of ``shape``.
+
+    Every entry must be a real number and not a boolean: ``np.array`` would
+    also turn strings such as ``"1.5"`` and booleans into floats.
+    """
     try:
         arr = np.array(data, dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -46,15 +52,10 @@ def _as_array(data, shape, where) -> np.ndarray:
         raise InputFormatError(f"{where}: expected shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InputFormatError(f"{where}: components must be finite")
-    return arr
-
-
-def _json_array(data, shape, where) -> np.ndarray:
-    """``_as_array`` of a value read from JSON, whose entries must be JSON
-    numbers: ``np.array`` would also turn strings such as ``"1.5"`` and
-    booleans into floats."""
-    arr = _as_array(data, shape, where)
-    if any(type(value) not in (int, float) for value in np.array(data, dtype=object).flat):
+    # judged once per entry type: the ``numbers.Real`` check is slow
+    types = {type(value) for value in np.array(data, dtype=object).flat}
+    if not all(issubclass(t, numbers.Real) and not issubclass(t, (bool, np.bool_))
+               for t in types):
         raise InputFormatError(f"{where}: components must be numbers")
     return arr
 
@@ -71,7 +72,7 @@ def read_tensor(path) -> Tensor3:
         raise InputFormatError(f'{path}: "parity" must be the integer 0 or 1')
     if "components" not in data:
         raise InputFormatError(f'{path}: missing "components"')
-    components = _json_array(data["components"], (3, 3, 3), str(path))
+    components = _as_array(data["components"], (3, 3, 3), str(path))
     return Tensor3(components, variance, parity)
 
 
@@ -91,7 +92,7 @@ def read_metric(path) -> Metric:
     data = _load_json(path)
     if "g" not in data:
         raise InputFormatError(f'{path}: missing "g"')
-    g = _json_array(data["g"], (3, 3), str(path))
+    g = _as_array(data["g"], (3, 3), str(path))
     try:
         return Metric(g)
     except TensorError as exc:
@@ -120,7 +121,7 @@ def read_voigt(path) -> PiezoTensor:
     data = _load_json(path)
     if "voigt" not in data:
         raise InputFormatError(f'{path}: missing "voigt"')
-    return voigt_to_tensor(_json_array(data["voigt"], (3, 6), str(path)))
+    return voigt_to_tensor(_as_array(data["voigt"], (3, 6), str(path)))
 
 
 def write_voigt(d: PiezoTensor, path) -> None:

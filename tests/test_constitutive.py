@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from trideco import constitutive as cons
-from trideco import gl3, o3, sl3, tensorio
+from trideco import gl3, o3, sl3, so3, tensorio
 from trideco.tensor import (
     EUCLIDEAN,
     Metric,
@@ -115,6 +115,15 @@ class TestIngestion:
         assert np.array_equal(c, sign * np.transpose(c, swap))
         assert np.abs(c - arr).max() <= 1e-11 * np.abs(arr).max()
 
+    @pytest.mark.parametrize("cls,variance,swap", SHAPES, ids=["piezo", "hall"])
+    def test_warning_points_at_the_caller(self, rng, cls, variance, swap):
+        shape = unit_pair_symmetric if cls is cons.PiezoTensor else unit_pair_antisymmetric
+        arr = shape(rng).components.copy()
+        arr[0, 1, 2] += 1e-11
+        with pytest.warns(UserWarning, match="symmetrized away") as record:
+            cls(Tensor3(arr, variance))
+        assert record[0].filename == __file__
+
 
 class TestPiezoDecomposition:
     def test_fully_symmetric_input(self, rng):
@@ -205,6 +214,19 @@ class TestPiezoMatrix:
         assert (contracted.b_mat + contracted.c_mat).max_abs() < 1e-13
         parts = cons.piezo_decompose(cons.PiezoTensor(d))
         assert abs(parts.b_mat.trace()) < 1e-13
+
+    @pytest.mark.parametrize("metric", METRICS, ids=METRIC_IDS)
+    def test_matrix_is_the_generic_one_restricted_to_the_slice(self, rng, metric):
+        # the piezo matrix is the generic b matrix of a tensor on the slice,
+        # and its symmetric half the generic so3 matrix e
+        d = piezo(rng)
+        parts = cons.piezo_decompose(d, metric)
+        contracted = sl3.epsilon_contractions(d.tensor)
+        split = so3.so3_split(contracted, metric)
+        for actual, expected in ((parts.b_mat, contracted.b_check), (parts.b_sym, split.e_mat)):
+            assert (actual.variance, actual.parity) == (expected.variance, expected.parity)
+            defect = np.max(np.abs(actual.components - expected.components))
+            assert defect <= 1e-14 * expected.max_abs()
 
     def test_reconstruction_round_trip(self, rng):
         parts = cons.piezo_decompose(piezo(rng))
@@ -411,6 +433,23 @@ class TestVoigt:
     def test_shape_validation(self):
         with pytest.raises(tensorio.InputFormatError):
             tensorio.voigt_to_tensor(np.zeros((3, 5)))
+
+    @pytest.mark.parametrize("table", [
+        [["1.5", 0, 0, 0, 0, 0]] + [[0.0] * 6] * 2,
+        [[True, 0, 0, 0, 0, 0]] + [[0.0] * 6] * 2,
+        np.zeros((3, 6), dtype=bool),
+    ], ids=["string", "true", "bool-array"])
+    def test_rejects_non_numbers(self, table):
+        with pytest.raises(tensorio.InputFormatError, match="must be numbers"):
+            tensorio.voigt_to_tensor(table)
+
+    @pytest.mark.parametrize("table", [
+        np.arange(18, dtype=np.float32).reshape(3, 6),
+        [[np.float64(0.5)] * 6] * 3,
+    ], ids=["float32-array", "float64-list"])
+    def test_accepts_real_numbers(self, table):
+        d = tensorio.voigt_to_tensor(table)
+        assert np.array_equal(tensorio.tensor_to_voigt(d), np.asarray(table, dtype=np.float64))
 
 
 class TestExplicitTerms:

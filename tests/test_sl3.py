@@ -200,6 +200,19 @@ METRIC_IDS = ["euclid", "diag211"]
 EPS = sl3.EPSILON
 
 
+class TestHalves:
+    @pytest.mark.parametrize("shape", [(3, 3), (5, 3, 3)], ids=["single", "batch"])
+    @pytest.mark.parametrize("metric", METRICS, ids=METRIC_IDS)
+    def test_exact_halves_summing_to_the_product(self, rng, shape, metric):
+        mat = rng.uniform(-1, 1, shape)
+        sym, skew = sl3.halves(mat, metric.g)
+        assert sym.shape == skew.shape == shape
+        assert np.array_equal(sym, np.swapaxes(sym, -1, -2))
+        assert np.array_equal(skew, -np.swapaxes(skew, -1, -2))
+        product = mat @ metric.g
+        assert np.max(np.abs(sym + skew - product)) <= 1e-15 * np.abs(product).max()
+
+
 def traceless(rng):
     m = rng.uniform(-1, 1, (3, 3))
     return m - np.trace(m) / 3.0 * np.eye(3)

@@ -70,7 +70,7 @@ def test_reconstruction_solves_use_no_shipped_closed_form():
     forbidden = {
         "contraction", "from_matrix", "axial", "from_axial", "PARTS", "constitutive",
         "RECONSTRUCTION_COEFF", "PIEZO_RECONSTRUCTION_COEFF", "HALL_RECONSTRUCTION_COEFFS",
-        "HALL_MATRIX_WEIGHTS", "evaluate", "traces", "from_traces", "_TRACE_WEIGHTS",
+        "HALL_MATRIX_WEIGHTS", "evaluate", "traces", "from_traces", "_TRACE_WEIGHTS", "halves",
     }
     assert not used & forbidden
 
