@@ -150,19 +150,18 @@ def piezo_decompose(d: PiezoTensor, metric: Metric = EUCLIDEAN) -> PiezoParts:
     both the fully symmetric and the mixed part.  Only the mixed part is
     particular to the slice: the full symmetrizer absorbs the slot swap, so
     the fully symmetric part and its trace split are the generic ones of
-    ``o3``.  Every part is read from ``parts.PARTS`` by one
-    ``parts.evaluate`` call, the same table the reports read.
+    ``o3``.  Every part is one product with the compiled operators of
+    ``parts.PARTS``, the same matrices the reports apply.
     """
     t = d.tensor
-    *arrays, s_traces, n_traces = parts.evaluate(
-        ("piezo_s", "piezo_n", "piezo_k", "piezo_r", "piezo_m", "piezo_p", "symmetric_traces",
-         "piezo_n_traces"),
-        t.components,
-        metric,
+    x = t.components
+    arrays = parts.apply(
+        ("piezo_s", "piezo_n", "piezo_k", "piezo_r", "piezo_m", "piezo_p"), x, metric
     )
+    s_traces, n_traces = parts.apply(("symmetric_traces", "piezo_n_traces"), x, metric)
     beta, _ = parts.plain_trace_vectors(n_traces)
     return PiezoParts(
-        *(Tensor3(x, "upper", t.parity) for x in arrays),
+        *(Tensor3(part, "upper", t.parity) for part in arrays),
         *(Vector3(v, "upper", t.parity) for v in (s_traces[0], beta)),
         *_matrix(arrays[1], "b", metric.g, ("lu", "ll"), t.parity),
         metric=metric,
@@ -212,9 +211,8 @@ def hall_decompose(h: HallTensor, metric: Metric = EUCLIDEAN) -> HallParts:
     """
     t = h.tensor
     x = t.components
-    a, n, m, p, n_traces = parts.evaluate(
-        ("hall_a", "hall_n", "hall_m", "hall_p", "hall_n_traces"), x, metric
-    )
+    a, n, m, p = parts.apply(("hall_a", "hall_n", "hall_m", "hall_p"), x, metric)
+    (n_traces,) = parts.apply(("hall_n_traces",), x, metric)
     a_check, a_sym, a_skew = _matrix(n, "a", metric.g_inv, ("ul", "uu"), t.parity)
 
     def tensor(components):

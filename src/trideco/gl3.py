@@ -67,10 +67,10 @@ def decompose(t: Tensor3, family: str) -> Gl3Parts:
     check_family(family)
     s, a, n, n1, n2 = (
         _like(t, part)
-        for part in parts.evaluate(
+        for part in parts.apply(
             ("symmetric", "antisymmetric", "residue", f"n1_{family}", f"n2_{family}"),
             t.components,
-            EUCLIDEAN,  # no gl3 rule reads the metric
+            EUCLIDEAN,  # no gl3 operator reads the metric
         )
     )
     return Gl3Parts(s=s, a=a, n=n, n1=n1, n2=n2, family=family)

@@ -123,10 +123,15 @@ def orthogonality_matrix(parts, metric: Metric = EUCLIDEAN) -> np.ndarray:
         return np.zeros((0, 0))
     if any(t.variance != parts[0].variance for t in parts):
         raise VarianceError("scalar product requires equal variance")
-    x = np.array([t.components for t in parts]).reshape(len(parts), 27)
-    gram = x @ metric.contraction_matrix(parts[0].variance) @ x.T
+    return gram(np.array([t.components for t in parts]).reshape(len(parts), 27), metric,
+                parts[0].variance)
+
+
+def gram(rows: np.ndarray, metric: Metric, variance: str) -> np.ndarray:
+    """Gram matrix of the flattened components in the rows of ``rows``."""
+    result = rows @ metric.contraction_matrix(variance) @ rows.T
     # the two triangles round differently; their mean is exactly symmetric
-    return (gram + gram.T) / 2.0
+    return (result + result.T) / 2.0
 
 
 @dataclass(frozen=True)
@@ -144,13 +149,10 @@ class O3Parts:
 def decompose(t: Tensor3, metric: Metric = EUCLIDEAN) -> O3Parts:
     """The unique five-part metric decomposition of a generic tensor."""
     _require_upper(t, "decompose")
-    *tensors, s_traces, n_traces = parts.evaluate(
-        ("k_part", "r_part", "antisymmetric", "m_part", "p_part", "symmetric_traces",
-         "residue_traces"),
-        t.components,
-        metric,
-    )
+    x = t.components
+    tensors = parts.apply(("k_part", "r_part", "antisymmetric", "m_part", "p_part"), x, metric)
+    s_traces, n_traces = parts.apply(("symmetric_traces", "residue_traces"), x, metric)
     return O3Parts(
-        *(Tensor3(x, "upper", t.parity) for x in tensors),
+        *(Tensor3(part, "upper", t.parity) for part in tensors),
         *_vectors(t.parity, s_traces[0], *parts.plain_trace_vectors(n_traces)),
     )

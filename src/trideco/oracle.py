@@ -3,11 +3,13 @@
 Every decomposition map in this package is linear on the 27-dimensional
 component space, so each one can be materialized as an explicit 27x27 matrix
 by evaluating it, as a black box, on the standard basis.  The maps are the
-parts of ``parts.PARTS``: ``materialize`` evaluates a part's form in one
-batched call on the 27 stacked basis tensors, and the dimension ledger is
-the table's dimensions.  Ranks of those matrices check the ledger, matrix
-algebra checks idempotence and complementarity, and least-squares solves
-recover every closed-form coefficient the package ships.  The solves are
+parts of ``parts.PARTS``: ``materialize`` returns the part's compiled
+operator, the rule walk run once on the 27 stacked basis tensors, and the
+dimension ledger is the table's dimensions.  ``agreement`` checks that
+matrix against the part's form evaluated on one tensor at a time.  Ranks of
+those matrices check the ledger, matrix algebra checks idempotence and
+complementarity, and least-squares solves recover every closed-form
+coefficient the package ships.  The solves are
 built from nothing but component arrays, the metric and the alternating
 symbol; they never reuse the shipped closed forms, so a transcription error
 in a formula cannot hide from them.
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gl3
-from .parts import PARTS
+from .parts import PARTS, operator
 from .sl3 import EPSILON
 from .tensor import EUCLIDEAN, Metric, Tensor3
 
@@ -57,12 +59,12 @@ def operator_names() -> tuple[str, ...]:
 
 
 def materialize(op_name: str, metric: Metric = EUCLIDEAN) -> LinearMap27:
-    """Build the 27x27 matrix of a named part; column ``c`` is its image of
-    basis tensor ``c``."""
+    """The 27x27 matrix of a named part; column ``c`` is its image of basis
+    tensor ``c``.  It is the transpose of ``parts.operator``, which the
+    part's rule computed on the 27 stacked basis tensors."""
     if op_name not in PARTS:
         raise KeyError(f"unknown operator {op_name!r}")
-    images = PARTS[op_name].form(np.eye(27).reshape(27, 3, 3, 3), metric)
-    return LinearMap27(matrix=images.reshape(27, 27).T, label=op_name)
+    return LinearMap27(matrix=operator(op_name, metric).T, label=op_name)
 
 
 def rank(linear_map: LinearMap27, tol: float = RANK_TOL) -> int:

@@ -13,13 +13,23 @@ part is linear in ``x``, takes the metric verbatim and is a new array of
 the same shape, except ``identity``, which is ``x`` itself, and the parts
 that equal another part, which are that part's array.
 
-One table serves every reader.  The reports, the oracle's operator matrices
-and the public decompositions of ``gl3``, ``o3``, ``so3`` and
-``constitutive`` all get their parts from one ``evaluate`` call; a public
-function handed a part already split (``o3.s_trace_split`` and its
-siblings) applies the trace kernels below to it.  The oracle's
-least-squares solves never evaluate the rules, nor do the ``gl3``
-projections they call.
+One table serves every reader, through one compiled matrix per part.  Each
+part is linear and depends only on the metric, so ``operator(name,
+metric)`` runs the rule walk once on the 27 stacked basis tensors and keeps
+the part's read-only 27x27 matrix (27x9 for a ``<name>_traces`` entry) in
+the metric's ``_cache``; the parts that read no metric are compiled once
+per process and seed every metric's walk.  The library readers apply these
+matrices: the reports and the public decompositions of ``gl3``, ``o3``,
+``so3`` and ``constitutive`` each get their parts from ``apply(names, x,
+metric)``, one product of ``x`` with the named matrices stacked, so a
+report and a public call compute a part with the same arithmetic.  The
+rule walk itself runs in the compile step, in ``evaluate`` and
+``Part.form``: the oracle's ``materialize`` returns the compiled matrix,
+and its ``agreement`` checks that matrix against ``Part.form`` run on one
+tensor at a time.  A public function handed a part already split
+(``o3.s_trace_split`` and its siblings) applies the trace kernels below to
+it.  The oracle's least-squares solves never evaluate the rules, nor do
+the ``gl3`` projections they call.
 
 Every trace part is one projection.  A pure-trace tensor holds a vector in
 one slot and the inverse metric on the other two; ``traces(x, m)`` stacks
@@ -58,6 +68,12 @@ _TRACE_GATHER = _SLOT_ACTION[[0, 3, 5]]
 #: tensor with traces ``t``: a vector in slot 1, 2 or 3 has traces (1, 1, 3),
 #: (1, 3, 1) or (3, 1, 1) times itself, and these weights invert that matrix
 _TRACE_WEIGHTS = np.array([[-1.0, -1.0, 4.0], [-1.0, 4.0, -1.0], [4.0, -1.0, -1.0]]) / 10.0
+_I, _J, _K = np.indices((3, 3, 3)).reshape(3, 27)
+#: row ``a`` gives, for each flattened component (i, j, k), the entry of the
+#: flattened slot vectors that slot ``a`` holds there, and the entry of the
+#: flattened inverse metric that the other two slots hold
+_SLOT_ENTRY = np.stack([_I, 3 + _J, 6 + _K])
+_OTHER_ENTRY = np.stack([3 * _J + _K, 3 * _I + _K, 3 * _I + _J])
 
 
 def traces(x: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -76,11 +92,11 @@ def from_traces(t: np.ndarray, m_inv: np.ndarray) -> np.ndarray:
     pure-trace tensors and leaves a traceless rest.
     """
     v = _TRACE_WEIGHTS @ t
-    return (
-        v[..., 0, :, None, None] * m_inv
-        + v[..., 1, None, :, None] * m_inv[:, None, :]
-        + v[..., 2, None, None, :] * m_inv[:, :, None]
-    )
+    batch = v.shape[:-2]
+    # at (i, j, k): v[0, i] m_inv[j, k] + v[1, j] m_inv[i, k] + v[2, k] m_inv[i, j],
+    # all three products in one gather and one multiplication
+    terms = v.reshape(batch + (9,))[..., _SLOT_ENTRY] * m_inv.reshape(9)[_OTHER_ENTRY]
+    return (terms[..., 0, :] + terms[..., 1, :] + terms[..., 2, :]).reshape(batch + (3, 3, 3))
 
 
 def plain_trace_vectors(t: np.ndarray):
@@ -219,3 +235,66 @@ def _value(name: str, values: dict, metric: Metric) -> np.ndarray:
         part = _RULES[name]
         values[name] = part.rule(*[_value(n, values, metric) for n in part.refines], metric)
     return values[name]
+
+
+def _reads_metric(name: str) -> bool:
+    # only the ``<name>_traces`` rules contract with the metric; every other
+    # rule that reads it refines one of them
+    return name.endswith("_traces") or any(
+        _reads_metric(refined) for refined in _RULES[name].refines if refined != name
+    )
+
+
+#: the parts whose operators are the same for every metric
+_METRIC_FREE = frozenset(name for name in _RULES if not _reads_metric(name))
+
+#: the value of each rule on one tensor: traces or components
+_SHAPES = {name: (3, 3) if name.endswith("_traces") else (3, 3, 3) for name in _RULES}
+
+#: the operators of the parts in ``_METRIC_FREE``, compiled once per process
+#: on first use; the identity seeds every walk on the 27 basis tensors
+_FREE_OPERATORS: dict[str, np.ndarray] = {"identity": np.eye(27)}
+_FREE_OPERATORS["identity"].setflags(write=False)
+
+
+def operator(name: str, metric: Metric) -> np.ndarray:
+    """The named part, or ``<name>_traces`` entry, as a read-only matrix on
+    flattened components.
+
+    ``x.reshape(27) @ operator(name, metric)`` is the part of ``x``,
+    flattened; row ``c`` is the part of basis tensor ``c``.  The matrix is
+    27x27, or 27x9 for a ``<name>_traces`` entry.  The first call for a
+    metric runs the part's rule on the 27 stacked basis tensors, reading
+    the parts it refines through this same function, and keeps the matrix
+    in the metric's ``_cache``; so each rule runs once per metric, and the
+    parts in ``_METRIC_FREE`` once per process.
+    """
+    cache = _FREE_OPERATORS if name in _METRIC_FREE else metric._cache
+    matrix = cache.get(name)
+    if matrix is None:
+        part = _RULES[name]
+        images = part.rule(
+            *[operator(n, metric).reshape((27,) + _SHAPES[n]) for n in part.refines], metric
+        )
+        matrix = images.reshape(27, -1)
+        matrix.setflags(write=False)
+        # a thread that compiled the same matrix first wins, so every caller
+        # gets one object
+        matrix = cache.setdefault(name, matrix)
+    return matrix
+
+
+def apply(names: tuple[str, ...], x: np.ndarray, metric: Metric) -> np.ndarray:
+    """The named parts of one tensor's components ``x``, stacked in one
+    product.
+
+    Entry ``i`` is ``x.reshape(27) @ operator(names[i], metric)``, shaped as
+    the rule of ``names[i]`` returns it.  The named operators must have one
+    width; their stack is kept in the metric's ``_cache`` under ``names``.
+    """
+    stack = metric._cache.get(names)
+    if stack is None:
+        stack = np.array([operator(name, metric) for name in names])
+        stack.setflags(write=False)
+        stack = metric._cache.setdefault(names, stack)
+    return np.matmul(x.reshape(27), stack).reshape((len(names),) + _SHAPES[names[0]])

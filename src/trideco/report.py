@@ -1,7 +1,13 @@
 """Decomposition reports: symmetry classification, part norms, Gram matrices.
 
-The JSON document and the text rendering both read the report's own fields,
-so both carry identical numbers.
+A report is one product: ``parts.apply`` multiplies the input by the
+compiled operators of its parts, of the identity and of the symmetric and
+antisymmetric parts, which the metric keeps in its ``_cache`` after the
+first report.  The parts and the input's own row form one block; its Gram
+matrix gives every norm and share and is checked for finiteness once, and
+each part's tensor is a read-only view of its row.  The JSON document and
+the text rendering both read the report's own fields, so both carry
+identical numbers.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import numpy as np
 from . import gl3, o3, parts
 from .constitutive import HallTensor, PiezoTensor
 from .sl3 import pseudo_scalar_of
-from .tensor import EUCLIDEAN, Metric, Tensor3, VarianceError, max_abs
+from .tensor import EUCLIDEAN, Metric, Tensor3, TensorError, VarianceError, max_abs
 
 REPORT_SCHEMA = 1
 
@@ -53,6 +59,14 @@ REPORT_PARTS = {
         ("mixed_trace", "hall_m"),
         ("mixed_traceless", "hall_p"),
     ),
+}
+
+#: the operators of each report's one product: its parts, then the identity,
+#: whose row is the input, and the symmetric and antisymmetric parts the
+#: symmetry class reads
+_OPERATORS = {
+    key: tuple(name for _, name in named) + ("identity", "symmetric", "antisymmetric")
+    for key, named in REPORT_PARTS.items()
 }
 
 #: report shapes that carry the pseudo-scalar
@@ -195,34 +209,39 @@ def build_report(
         family = "plain" if shape == "so3" else None
     named = REPORT_PARTS[shape, family]
     x = t.components
-    # one evaluation, so the parts they refine and the class's s and a are
-    # computed once
-    *arrays, s, a = parts.evaluate(
-        [name for _, name in named] + ["symmetric", "antisymmetric"], x, metric
+    arrays = parts.apply(_OPERATORS[shape, family], x, metric)
+    arrays.setflags(write=False)
+    count = len(named)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = o3.gram(arrays[: count + 1].reshape(count + 1, 27), metric, t.variance)
+    # the contraction is positive definite, so a part that overflowed leaves
+    # a non-finite diagonal entry too
+    if not np.isfinite(gram).all():
+        raise TensorError(
+            "report overflows: the Gram matrix of the parts is not finite "
+            f"(max-abs component {max_abs(x):.3e})"
+        )
+    norms = np.sqrt(np.maximum(gram.diagonal(), 0.0))
+    total_sq = norms[-1] ** 2
+    shares = norms[:-1] ** 2 / total_sq if total_sq > 0 else np.zeros(count)
+    entries = tuple(
+        PartEntry(label, parts.PARTS[name].dim, norm, share,
+                  Tensor3._trusted(array, t.variance, t.parity))
+        for (label, name), norm, share, array in zip(named, norms.tolist(), shares.tolist(), arrays)
     )
-    tensors = [Tensor3(array, t.variance, t.parity) for array in arrays]
-    # the input's own row gives its norm from the same contraction matrix
-    gram = o3.orthogonality_matrix(tensors + [t], metric)
-    input_norm = float(np.sqrt(max(gram[-1, -1], 0.0)))
-    gram = gram[:-1, :-1]
-    total_sq = input_norm**2
-    entries = []
-    for (label, name), tensor, square in zip(named, tensors, np.diag(gram)):
-        part_norm = float(np.sqrt(max(square, 0.0)))
-        share = part_norm**2 / total_sq if total_sq > 0 else 0.0
-        entries.append(PartEntry(label, parts.PARTS[name].dim, part_norm, share, tensor))
+    s, a = arrays[count + 1:]
     return DecompositionReport(
         level=level if mode == "generic" else "o3",
         mode=mode,
         family=family,
         input_summary={
-            "norm": input_norm,
+            "norm": float(norms[-1]),
             "symmetry_class": classify_symmetry(t, s=s, a=a),
             "variance": t.variance,
             "parity": t.parity,
         },
-        parts=tuple(entries),
-        gram=gram,
-        residual=max_abs(x - sum(tensor.components for tensor in tensors)),
+        parts=entries,
+        gram=gram[:-1, :-1],
+        residual=max_abs(x - arrays[:count].sum(axis=0)),
         pseudo_scalar=pseudo_scalar_of(x) if shape in _PSEUDO_SCALAR_SHAPES else None,
     )

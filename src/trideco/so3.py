@@ -103,7 +103,9 @@ def so3_representation(t: Tensor3, metric: Metric = EUCLIDEAN) -> So3Representat
     # the traceless contraction matrices of t are those of its mixed part
     contractions = sl3.epsilon_contractions(t)
     split = so3_split(contractions, metric)
-    s_traces, r_part = parts.evaluate(("symmetric_traces", "r_part"), t.components, metric)
+    x = t.components
+    (s_traces,) = parts.apply(("symmetric_traces",), x, metric)
+    (r_part,) = parts.apply(("r_part",), x, metric)
     return So3Representation(
         alpha=Vector3(s_traces[0], "upper", t.parity),
         r_part=Tensor3(r_part, "upper", t.parity),

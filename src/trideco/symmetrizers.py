@@ -28,7 +28,9 @@ class GroupAlgebraElement:
     """Formal real linear combination of slot permutations.
 
     ``coeffs[p]`` is the coefficient of ``S3[p]``; the canonical ordering of
-    the six permutations makes equality and composition exact.
+    the six permutations makes equality and composition exact.  The same
+    coefficients as an array are kept outside the fields, so equality and
+    hashing read the tuple alone.
     """
 
     coeffs: tuple[float, float, float, float, float, float]
@@ -36,7 +38,11 @@ class GroupAlgebraElement:
     def __post_init__(self):
         if len(self.coeffs) != 6:
             raise ValueError("an element needs one coefficient per permutation")
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        coeffs = tuple(float(c) for c in self.coeffs)
+        array = np.array(coeffs)
+        array.setflags(write=False)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_array", array)
 
     @classmethod
     def from_terms(cls, terms) -> "GroupAlgebraElement":
@@ -98,7 +104,7 @@ class GroupAlgebraElement:
     def on_components(self, x: np.ndarray) -> np.ndarray:
         """The same combination on raw components of shape ``(..., 3, 3, 3)``."""
         flat = x.reshape(x.shape[:-3] + (27,))
-        return (np.asarray(self.coeffs) @ flat[..., _SLOT_ACTION]).reshape(x.shape)
+        return (self._array @ flat[..., _SLOT_ACTION]).reshape(x.shape)
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -121,6 +121,17 @@ class Tensor3(_TaggedValue):
             raise TensorError("parity must be 0 or 1")
 
     @classmethod
+    def _trusted(cls, components: np.ndarray, variance: str, parity: int) -> "Tensor3":
+        """A tensor over ``components`` as given, with no copy and no check:
+        the caller guarantees a read-only, finite ``(3, 3, 3)`` float array
+        and valid tags."""
+        value = object.__new__(cls)
+        object.__setattr__(value, "components", components)
+        object.__setattr__(value, "variance", variance)
+        object.__setattr__(value, "parity", parity)
+        return value
+
+    @classmethod
     def zeros(cls, variance: str = "upper", parity: int = 0) -> "Tensor3":
         return cls(np.zeros((3, 3, 3)), variance, parity)
 
@@ -178,13 +189,14 @@ class Metric:
 
     ``g`` must be exactly symmetric as stored.  The inverse is computed once
     and validated against ``g @ g_inv = I`` to within 1e-12.  The 27x27
-    contraction matrix of each variance is computed on first use and kept
-    on the instance.
+    contraction matrix of each variance, and each part operator
+    ``parts.operator`` compiles for this metric, is computed on first use
+    and kept in the instance's ``_cache``.
     """
 
     g: np.ndarray
     g_inv: np.ndarray = field(init=False)
-    _contractions: dict = field(init=False, default_factory=dict, repr=False)
+    _cache: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
         g = _frozen_array(self.g, (3, 3))
@@ -209,12 +221,12 @@ class Metric:
         """The three-slot metric contraction as a read-only 27x27 matrix on
         flattened components: ``g`` contracts upper indices, ``g_inv`` lower
         ones."""
-        matrix = self._contractions.get(variance)
+        matrix = self._cache.get(variance)
         if matrix is None:
             g = self.g if variance == "upper" else self.g_inv
             matrix = np.einsum("im,jn,kp->ijkmnp", g, g, g).reshape(27, 27)
             matrix.setflags(write=False)
-            self._contractions[variance] = matrix
+            self._cache[variance] = matrix
         return matrix
 
 

@@ -101,7 +101,11 @@ def read_metric(path) -> Metric:
 
 def voigt_to_tensor(table) -> PiezoTensor:
     """Expand a 3x6 Voigt table to the full pair-symmetric tensor."""
-    table = _as_array(table, (3, 6), "voigt table")
+    return _expand_voigt(_as_array(table, (3, 6), "voigt table"))
+
+
+def _expand_voigt(table: np.ndarray) -> PiezoTensor:
+    """The pair-symmetric tensor of a checked 3x6 float table."""
     components = np.zeros((3, 3, 3))
     for column, (j, k) in enumerate(VOIGT_COLUMNS):
         for i in range(3):
@@ -121,7 +125,7 @@ def read_voigt(path) -> PiezoTensor:
     data = _load_json(path)
     if "voigt" not in data:
         raise InputFormatError(f'{path}: missing "voigt"')
-    return voigt_to_tensor(_as_array(data["voigt"], (3, 6), str(path)))
+    return _expand_voigt(_as_array(data["voigt"], (3, 6), str(path)))
 
 
 def write_voigt(d: PiezoTensor, path) -> None:

@@ -158,12 +158,23 @@ class TestExitCodes:
         assert main(["--input", str(tensor_path), "--metric", str(metric_path)]) == 2
 
     @pytest.mark.parametrize("entry", ["0.5", False], ids=["string", "boolean"])
-    def test_voigt_entry_that_is_not_a_number_is_exit_2(self, tmp_path, rng, entry):
+    def test_voigt_entry_that_is_not_a_number_is_exit_2(self, tmp_path, rng, entry, capsys):
         table = rng.uniform(-1, 1, (3, 6)).tolist()
         table[1][4] = entry
         path = tmp_path / "piezo_voigt.json"
         path.write_text(json.dumps({"voigt": table}))
         assert main(["--voigt", str(path)]) == 2
+        assert f"error: {path}: components must be numbers" in capsys.readouterr().err
+
+    def test_report_that_overflows_is_exit_2_without_json(self, tmp_path, rng, capsys):
+        path = tmp_path / "huge.json"
+        tensorio.write_tensor(unit_tensor(rng) * 1e160, path)
+        json_path = tmp_path / "report.json"
+        assert main(["--input", str(path), "--level", "o3", "--json", str(json_path)]) == 2
+        assert not json_path.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Gram matrix of the parts is not finite" in captured.err
 
     def test_no_input(self):
         assert main([]) == 2
@@ -209,3 +220,18 @@ def test_voigt_expansion_round_trips_through_files(tmp_path, rng):
     tensorio.write_voigt(d, path)
     rebuilt = tensorio.read_voigt(path)
     assert rebuilt.tensor.allclose(d.tensor, 1e-14)
+
+
+def test_read_voigt_converts_the_table_once(tmp_path, rng, monkeypatch):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"voigt": rng.uniform(-1, 1, (3, 6)).tolist()}))
+    calls = []
+    as_array = tensorio._as_array
+
+    def counted(data, shape, where):
+        calls.append(where)
+        return as_array(data, shape, where)
+
+    monkeypatch.setattr(tensorio, "_as_array", counted)
+    tensorio.read_voigt(path)
+    assert calls == [str(path)]

@@ -1,13 +1,15 @@
 """The shared evaluation of the part table against its single-part forms, the
-trace projection every trace part goes through, and how often each public call
-contracts traces."""
+compiled operators every library reader applies, the trace projection every
+trace part goes through, and how often each public call contracts traces."""
 
 import gc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trideco import constitutive, o3, parts, report, so3
+from trideco import constitutive, gl3, o3, parts, report, so3
 from trideco.parts import PARTS
 from trideco.permutations import S3
 from trideco.symmetrizers import MIXED_PAIRS, GroupAlgebraElement
@@ -103,6 +105,9 @@ def _counting_traces(monkeypatch):
 
 
 def test_each_public_call_contracts_each_trace_once(rng, monkeypatch):
+    # the decompositions and reports apply compiled operators, so once the
+    # metric's operators are compiled they contract no trace; the splits of
+    # a part already split apply the trace kernels once per trace
     t = Tensor3(rng.uniform(-1.0, 1.0, (3, 3, 3)))
     x = t.components
     s, n = parts.evaluate(("symmetric", "residue"), x, EUCLIDEAN)
@@ -110,15 +115,17 @@ def test_each_public_call_contracts_each_trace_once(rng, monkeypatch):
     piezo = constitutive.PiezoTensor(unit_pair_symmetric(rng))
     hall = constitutive.HallTensor(unit_pair_antisymmetric(rng))
     expected = {
-        "o3.decompose": (lambda: o3.decompose(t), 2),
-        "piezo_decompose": (lambda: constitutive.piezo_decompose(piezo), 2),
-        "hall_decompose": (lambda: constitutive.hall_decompose(hall), 1),
-        "so3_representation": (lambda: so3.so3_representation(t), 1),
+        "o3.decompose": (lambda: o3.decompose(t), 0),
+        "piezo_decompose": (lambda: constitutive.piezo_decompose(piezo), 0),
+        "hall_decompose": (lambda: constitutive.hall_decompose(hall), 0),
+        "so3_representation": (lambda: so3.so3_representation(t), 0),
         "s_trace_split": (lambda: o3.s_trace_split(Tensor3(s)), 1),
         "n_trace_split": (lambda: o3.n_trace_split(Tensor3(n)), 1),
         "n_family_trace_split": (lambda: o3.n_family_trace_split(n1, n2), 2),
-        "so3 build_report": (lambda: report.build_report(t, level="so3"), 3),
+        "so3 build_report": (lambda: report.build_report(t, level="so3"), 0),
     }
+    for call, _ in expected.values():
+        call()  # compiles what the call reads
     calls = _counting_traces(monkeypatch)
     counted = {}
     for name, (call, _) in expected.items():
@@ -126,3 +133,112 @@ def test_each_public_call_contracts_each_trace_once(rng, monkeypatch):
         call()
         counted[name] = len(calls)
     assert counted == {name: count for name, (_, count) in expected.items()}
+
+
+def test_compiling_runs_each_rule_once(monkeypatch):
+    # a fresh process cache and a fresh metric: every rule but the seeded
+    # identity runs once; a second metric runs only the rules that read one
+    identity = parts.operator("identity", EUCLIDEAN)
+    monkeypatch.setattr(parts, "_FREE_OPERATORS", {"identity": identity})
+    runs = {name: 0 for name in parts._RULES}
+    for name, part in parts._RULES.items():
+
+        def counted(*args, rule=part.rule, name=name):
+            runs[name] += 1
+            return rule(*args)
+
+        monkeypatch.setitem(parts._RULES, name, part._replace(rule=counted))
+    for metric in (_random_spd_metric(1), _random_spd_metric(2)):
+        for name in parts._RULES:
+            parts.operator(name, metric)
+    assert runs == {
+        name: (name != "identity") + (name not in parts._METRIC_FREE) for name in parts._RULES
+    }
+    assert sorted(parts._METRIC_FREE) == sorted(
+        ["identity", "symmetric", "antisymmetric", "residue", "pair_symmetric",
+         "pair_antisymmetric", "piezo_s", "piezo_n", "hall_a", "hall_n"]
+        + [f"n{member}_{family}" for family in MIXED_PAIRS for member in (1, 2)]
+    )
+
+
+def test_operators_are_read_only_and_kept_per_metric():
+    first, second = _random_spd_metric(4), _random_spd_metric(4)
+    for name, part in parts._RULES.items():
+        matrix = parts.operator(name, first)
+        assert matrix.shape == ((27, 9) if name.endswith("_traces") else (27, 27))
+        assert not matrix.flags.writeable
+        assert parts.operator(name, first) is matrix
+        other = parts.operator(name, second)
+        assert np.array_equal(other, matrix)
+        # a fresh metric builds its own matrix; the metric-free ones are shared
+        assert (other is matrix) == (name in parts._METRIC_FREE)
+    stack = parts.apply(("k_part", "r_part"), np.zeros((3, 3, 3)), first)
+    assert stack.shape == (2, 3, 3, 3)
+    assert not first._cache["k_part", "r_part"].flags.writeable
+
+
+def _compiled_and_walked(x, metric):
+    """``(compiled, walked, scale)``: each array of every report shape and
+    public decomposition of ``x``, the same part from the rule walk, and the
+    norm of the components it was computed from; a trace vector's scale also
+    carries the size of the matrix its traces contract with."""
+    generic = Tensor3(x)
+    piezo = constitutive.PiezoTensor(Tensor3(parts.pair_symmetric(x)))
+    hall = constitutive.HallTensor(Tensor3(parts.pair_antisymmetric(x), "lower"))
+    inputs = {"piezo": piezo.tensor, "hall": hall.tensor}
+    compared = []
+
+    def compare(arrays, names, t):
+        walked = parts.evaluate(names, t.components, metric)
+        norm = np.linalg.norm(t.components)
+        compared.extend((array, value, norm) for array, value in zip(arrays, walked))
+
+    for (shape, family), named in report.REPORT_PARTS.items():
+        t = inputs.get(shape, generic)
+        mode = shape if shape in inputs else "generic"
+        level = "o3" if shape in inputs else shape
+        result = report.build_report(t, level, family if level == "gl3" else None, mode, metric)
+        compare([p.tensor.components for p in result.parts], [name for _, name in named], t)
+    for family in gl3.FAMILIES:
+        d = gl3.decompose(generic, family)
+        compare([d.s.components, d.a.components, d.n.components, d.n1.components,
+                 d.n2.components],
+                ["symmetric", "antisymmetric", "residue", f"n1_{family}", f"n2_{family}"],
+                generic)
+    d = o3.decompose(generic, metric)
+    compare([d.k_part.components, d.r_part.components, d.a.components, d.m_part.components,
+             d.p_part.components], ["k_part", "r_part", "antisymmetric", "m_part", "p_part"],
+            generic)
+    s_traces, n_traces = parts.evaluate(("symmetric_traces", "residue_traces"), x, metric)
+    norm = np.linalg.norm(x) * np.linalg.norm(metric.g, 2)
+    compared.append((d.alpha.components, s_traces[0], norm))
+    for vector, walked in zip((d.beta, d.gamma), parts.plain_trace_vectors(n_traces)):
+        compared.append((vector.components, walked, norm))
+    rep = so3.so3_representation(generic, metric)
+    compared.append((rep.alpha.components, s_traces[0], norm))
+    compare([rep.r_part.components], ["r_part"], generic)
+    d = constitutive.piezo_decompose(piezo, metric)
+    compare([d.s.components, d.n.components, d.k_part.components, d.r_part.components,
+             d.m_part.components, d.p_part.components],
+            ["piezo_s", "piezo_n", "piezo_k", "piezo_r", "piezo_m", "piezo_p"], piezo.tensor)
+    h = constitutive.hall_decompose(hall, metric)
+    compare([h.a.components, h.n.components, h.m_part.components, h.p_part.components],
+            ["hall_a", "hall_n", "hall_m", "hall_p"], hall.tensor)
+    (n_traces,) = parts.evaluate(("hall_n_traces",), hall.tensor.components, metric)
+    compared.append((h.v_vec.components, n_traces[1],
+                     np.linalg.norm(hall.tensor.components) * np.linalg.norm(metric.g_inv, 2)))
+    return compared
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.floats(-150.0, 150.0),
+    metric=st.sampled_from(ALL_METRICS),
+)
+def test_compiled_parts_agree_with_the_rule_walk(seed, exponent, metric):
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, (3, 3, 3)) * 10.0**exponent
+    compared = _compiled_and_walked(x, metric)
+    assert len(compared) == 73
+    for compiled, walked, scale in compared:
+        assert max_abs(compiled - walked) <= 1e-15 * scale

@@ -1,10 +1,16 @@
+import importlib.util
+import json
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from trideco import constitutive as cons
-from trideco import gl3, o3, oracle, report, sl3, tensorio
+from trideco import gl3, o3, oracle, parts, report, sl3, tensorio
 from trideco.symmetrizers import GroupAlgebraElement
-from trideco.tensor import EUCLIDEAN, Metric, Tensor3
+from trideco.tensor import EUCLIDEAN, Metric, Tensor3, TensorError
 
 from helpers import unit_pair_antisymmetric, unit_pair_symmetric, unit_tensor
 
@@ -104,8 +110,10 @@ _INPUTS = {"piezo": unit_pair_symmetric, "hall": unit_pair_antisymmetric}
     [("gl3", 2), ("o3", 2), ("sl3", 2), ("so3", 4), ("piezo", 2), ("hall", 2)],
 )
 def test_each_projection_is_evaluated_once(monkeypatch, rng, level, gathers):
-    # s and a everywhere, plus the two plain mixed components at so3; the
-    # symmetry class reuses s and a, and the piezo and Hall slices keep them
+    # compiling the report's operators gathers s and a everywhere, plus the two
+    # plain mixed components at so3, once each; the symmetry class reuses s and
+    # a, and the piezo and Hall slices keep them.  Once compiled, the report is
+    # one product and gathers nothing.
     calls = []
     gather = GroupAlgebraElement.on_components
 
@@ -115,9 +123,16 @@ def test_each_projection_is_evaluated_once(monkeypatch, rng, level, gathers):
 
     t = _INPUTS.get(level, unit_tensor)(rng)
     mode = level if level in _INPUTS else "generic"
+    level = "o3" if level in _INPUTS else level
+    identity = parts.operator("identity", EUCLIDEAN)
+    monkeypatch.setattr(parts, "_FREE_OPERATORS", {"identity": identity})
     monkeypatch.setattr(GroupAlgebraElement, "on_components", counted)
-    report.build_report(t, "o3" if level in _INPUTS else level, mode=mode)
+    metric = Metric(np.eye(3))
+    report.build_report(t, level, mode=mode, metric=metric)
     assert len(calls) == gathers
+    calls.clear()
+    report.build_report(t, level, mode=mode, metric=metric)
+    assert len(calls) == 0
 
 
 def _public_parts(t, level, family, mode, metric):
@@ -167,3 +182,35 @@ class TestReportParts:
             applied = oracle.materialize(name, metric).apply(t.components)
             assert np.max(np.abs(part.tensor.components - applied)) <= 1e-12
             assert part.dim == oracle.DIMENSION_LEDGER[name]
+
+
+@pytest.mark.parametrize("level", report.LEVELS)
+def test_a_report_whose_gram_overflows_is_rejected(rng, level):
+    # beyond the supported scale the Gram entries overflow to inf
+    with pytest.raises(TensorError, match="not finite"):
+        report.build_report(unit_tensor(rng) * 1e160, level)
+    report.build_report(unit_tensor(rng) * 1e150, level)
+
+
+def _library():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_library", Path(__file__).resolve().parent.parent / "perfbench/library.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses resolve their annotations through sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_benchmark_report_is_valid_json():
+    # the library-mix items span 1e-150..1e150, where no report is rejected
+    library = _library()
+    items = [item for seed in range(101, 111) for item in library.make_items(seed)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the repair items warn
+        results = [library.run_item(item) for item in items if item.kind != "roundtrip"]
+    assert len(results) == 100
+    for result, document, _, _ in results:
+        json.dumps(document, allow_nan=False)
+        assert np.isfinite(result.gram).all()

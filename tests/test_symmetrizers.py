@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -186,3 +188,14 @@ def test_families_registry_is_consistent():
     assert set(MIXED_PAIRS) == {"plain", "tilde", "hat"}
     for pair in MIXED_PAIRS.values():
         assert len(pair) == 2
+
+
+def test_the_kept_coefficient_array_is_not_a_field():
+    # equality and hashing read the coefficient tuple alone
+    first = GroupAlgebraElement((1, 2, 0, 0, 0, -1))
+    second = GroupAlgebraElement((1.0, 2.0, 0.0, 0.0, 0.0, -1.0))
+    assert [f.name for f in dataclasses.fields(GroupAlgebraElement)] == ["coeffs"]
+    assert first == second and hash(first) == hash(second)
+    assert "_array" not in repr(first)
+    assert not first._array.flags.writeable
+    assert np.array_equal(first._array, first.coeffs)

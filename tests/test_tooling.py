@@ -71,8 +71,23 @@ def test_reconstruction_solves_use_no_shipped_closed_form():
         "contraction", "from_matrix", "axial", "from_axial", "PARTS", "constitutive",
         "RECONSTRUCTION_COEFF", "PIEZO_RECONSTRUCTION_COEFF", "HALL_RECONSTRUCTION_COEFFS",
         "HALL_MATRIX_WEIGHTS", "evaluate", "traces", "from_traces", "_TRACE_WEIGHTS", "halves",
+        "operator",
     }
     assert not used & forbidden
+
+
+def test_agreement_checks_the_compiled_matrix_against_the_rule_walk():
+    # the matrix comes from the compiled operator; the forms it is checked
+    # against must come from the rules, one tensor at a time
+    tree = ast.parse((ROOT / "src/trideco/oracle.py").read_text(encoding="utf-8"))
+    (agreement,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "agreement"
+    ]
+    used = {node.id for node in ast.walk(agreement) if isinstance(node, ast.Name)}
+    used |= {node.attr for node in ast.walk(agreement) if isinstance(node, ast.Attribute)}
+    assert {"materialize", "form"} <= used
+    assert not used & {"operator", "apply", "_FREE_OPERATORS", "_cache"}
 
 
 def test_projections_the_solves_call_read_no_part_table():
