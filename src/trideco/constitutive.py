@@ -22,6 +22,7 @@ import numpy as np
 
 from . import parts
 from .sl3 import contraction, from_matrix, halves, pseudo_scalar_of
+from .symmetrizers import defects
 from .tensor import (
     EUCLIDEAN,
     Metric,
@@ -55,20 +56,19 @@ HALL_SKEW_FROM_TRACE = -0.5
 HALL_MATRIX_WEIGHTS = (0.5, -0.5, 0.5)
 
 
-def _ingest(t: Tensor3, variance: str, axes: tuple[int, int, int], sign: float,
-            what: str) -> Tensor3:
-    """``t`` projected onto the slice ``c == sign * transpose(c, axes)``.
+def _ingest(t: Tensor3, variance: str, symmetry: str, project, what: str) -> Tensor3:
+    """``t`` projected by ``project`` onto the slice of the named symmetry of
+    ``symmetrizers.SYMMETRIES``.
 
-    The asymmetry is judged against the tensor's own size, so a tiny generic
-    tensor is not taken for a slightly noisy slice; the warning points at the
-    code that built the tensor, past ``__post_init__`` and the dataclass's
-    generated ``__init__``.
+    The asymmetry, the symmetry's defect, is judged against the tensor's own
+    size, so a tiny generic tensor is not taken for a slightly noisy slice;
+    the warning points at the code that built the tensor, past
+    ``__post_init__`` and the dataclass's generated ``__init__``.
     """
     if t.variance != variance:
         raise VarianceError(f"{what}s use {variance} variance")
     c = t.components
-    swapped = sign * np.transpose(c, axes)
-    asymmetry = max_abs(c - swapped)
+    (asymmetry,) = defects((symmetry,), c)
     scale = max_abs(c)
     if asymmetry > INGEST_TOL * scale:
         raise SymmetryError(
@@ -77,7 +77,7 @@ def _ingest(t: Tensor3, variance: str, axes: tuple[int, int, int], sign: float,
     if asymmetry > INGEST_SILENT * scale:
         warnings.warn(f"{what}: symmetrized away asymmetry {asymmetry:.3e}",
                       stacklevel=4)
-    return Tensor3((c + swapped) / 2.0, variance, t.parity)
+    return Tensor3(project(c), variance, t.parity)
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,9 @@ class PiezoTensor:
     tensor: Tensor3
 
     def __post_init__(self):
-        object.__setattr__(self, "tensor", _ingest(self.tensor, "upper", (0, 2, 1), 1.0,
-                                                   "pair-symmetric tensor"))
+        object.__setattr__(self, "tensor", _ingest(
+            self.tensor, "upper", "pair-symmetric-jk", parts.pair_symmetric,
+            "pair-symmetric tensor"))
 
 
 @dataclass(frozen=True)
@@ -102,8 +103,9 @@ class HallTensor:
     tensor: Tensor3
 
     def __post_init__(self):
-        object.__setattr__(self, "tensor", _ingest(self.tensor, "lower", (1, 0, 2), -1.0,
-                                                   "pair-antisymmetric tensor"))
+        object.__setattr__(self, "tensor", _ingest(
+            self.tensor, "lower", "pair-antisymmetric-ij", parts.pair_antisymmetric,
+            "pair-antisymmetric tensor"))
 
 
 def _matrix(n: np.ndarray, which: str, m: np.ndarray, variances: tuple[str, str],

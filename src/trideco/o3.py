@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import parts
+from .symmetrizers import defects
 from .tensor import (
     EUCLIDEAN,
     Metric,
@@ -20,12 +21,15 @@ from .tensor import (
     Tensor3,
     VarianceError,
     Vector3,
-    max_abs,
 )
 
 
-def _validation_scale(t: Tensor3) -> float:
-    return max(1.0, t.max_abs())
+def _require(symmetry: str, t: Tensor3, tol: float, message: str) -> None:
+    """Raise ``SymmetryError(message)`` unless ``t`` has the named symmetry of
+    ``symmetrizers.SYMMETRIES`` to within ``tol`` times its max-abs
+    component, floored at 1."""
+    if defects((symmetry,), t.components)[0] > tol * max(1.0, t.max_abs()):
+        raise SymmetryError(message)
 
 
 def _require_upper(t: Tensor3, what: str) -> None:
@@ -69,10 +73,8 @@ def s_trace_split(
     ``alpha / 5`` in each slot.
     """
     _require_upper(s, "s_trace_split")
-    x = s.components
-    if max_abs(x - parts.symmetric(x)) > tol * _validation_scale(s):
-        raise SymmetryError("s_trace_split expects a fully symmetric tensor")
-    k_part, r_part, t = _split(x, s.parity, metric)
+    _require("fully-symmetric", s, tol, "s_trace_split expects a fully symmetric tensor")
+    k_part, r_part, t = _split(s.components, s.parity, metric)
     return (k_part, r_part, *_vectors(s.parity, t[0]))
 
 
@@ -87,14 +89,8 @@ def n_trace_split(
     plain-family components, whose trace parts add up to the same one.
     """
     _require_upper(n, "n_trace_split")
-    x = n.components
-    scale = _validation_scale(n)
-    if (
-        max_abs(parts.symmetric(x)) > tol * scale
-        or max_abs(parts.antisymmetric(x)) > tol * scale
-    ):
-        raise SymmetryError("n_trace_split expects a mixed-symmetry tensor")
-    m_part, p_part, t = _split(x, n.parity, metric)
+    _require("mixed", n, tol, "n_trace_split expects a mixed-symmetry tensor")
+    m_part, p_part, t = _split(n.components, n.parity, metric)
     return (m_part, p_part, *_vectors(n.parity, *parts.plain_trace_vectors(t)))
 
 
@@ -108,12 +104,10 @@ def n_family_trace_split(
     """
     _require_upper(n1, "n_family_trace_split")
     _require_upper(n2, "n_family_trace_split")
-    x1, x2 = n1.components, n2.components
-    if max_abs(x1 - np.transpose(x1, (1, 0, 2))) > tol * _validation_scale(n1):
-        raise SymmetryError("first component must be symmetric in slots 1,2")
-    if max_abs(x2 - np.transpose(x2, (2, 1, 0))) > tol * _validation_scale(n2):
-        raise SymmetryError("second component must be symmetric in slots 1,3")
-    return (*_split(x1, n1.parity, metric)[:2], *_split(x2, n2.parity, metric)[:2])
+    _require("pair-symmetric-ij", n1, tol, "first component must be symmetric in slots 1,2")
+    _require("pair-symmetric-ik", n2, tol, "second component must be symmetric in slots 1,3")
+    return (*_split(n1.components, n1.parity, metric)[:2],
+            *_split(n2.components, n2.parity, metric)[:2])
 
 
 def orthogonality_matrix(parts, metric: Metric = EUCLIDEAN) -> np.ndarray:

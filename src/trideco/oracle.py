@@ -169,6 +169,14 @@ def _lstsq(features: list[np.ndarray], targets: list[np.ndarray]):
     return coefficients, residual, int(system_rank)
 
 
+def _epsilon_terms(mat: np.ndarray) -> np.ndarray:
+    """The three candidate terms ``X^p_k e_pmj``, ``X^p_m e_pkj`` and
+    ``X^p_j e_pmk`` of a tensor rebuilt from its matrix ``X``, as the
+    columns of a 27x3 block."""
+    terms = ("pk,pmj->kmj", "pm,pkj->kmj", "pj,pmk->kmj")
+    return np.stack([np.einsum(term, mat, EPSILON).reshape(27) for term in terms], axis=1)
+
+
 def solve_reconstruction(system: str, metric: Metric = EUCLIDEAN) -> ReconstructionSolve:
     """Least-squares solve of a reconstruction ansatz over the full basis.
 
@@ -198,10 +206,7 @@ def solve_reconstruction(system: str, metric: Metric = EUCLIDEAN) -> Reconstruct
                 if first
                 else np.einsum("ijk,jkm->im", EPSILON, component)
             )
-            f1 = np.einsum("pk,pmj->kmj", mat, EPSILON).reshape(27)
-            f2 = np.einsum("pm,pkj->kmj", mat, EPSILON).reshape(27)
-            f3 = np.einsum("pj,pmk->kmj", mat, EPSILON).reshape(27)
-            features.append(np.stack([f1, f2, f3], axis=1))
+            features.append(_epsilon_terms(mat))
             targets.append(component.reshape(27))
         labels = ("x", "y", "z")
 
@@ -252,10 +257,7 @@ def solve_reconstruction(system: str, metric: Metric = EUCLIDEAN) -> Reconstruct
         for arr in _basis_tensors("pair_antisymmetric"):
             n = gl3.residue_part(Tensor3(arr, "lower")).components
             mat = np.einsum("ijk,mjk->im", EPSILON, n)
-            f1 = np.einsum("pk,pmj->kmj", mat, EPSILON).reshape(27)
-            f2 = np.einsum("pm,pkj->kmj", mat, EPSILON).reshape(27)
-            f3 = np.einsum("pj,pmk->kmj", mat, EPSILON).reshape(27)
-            features.append(np.stack([f1, f2, f3], axis=1))
+            features.append(_epsilon_terms(mat))
             targets.append(n.reshape(27))
         labels = ("x", "y", "z")
 

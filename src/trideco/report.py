@@ -1,13 +1,14 @@
 """Decomposition reports: symmetry classification, part norms, Gram matrices.
 
 A report is one product: ``parts.apply`` multiplies the input by the
-compiled operators of its parts, of the identity and of the symmetric and
-antisymmetric parts, which the metric keeps in its ``_cache`` after the
-first report.  The parts and the input's own row form one block; its Gram
-matrix gives every norm and share and is checked for finiteness once, and
-each part's tensor is a read-only view of its row.  The JSON document and
-the text rendering both read the report's own fields, so both carry
-identical numbers.
+compiled operators of its parts and of the identity, which the metric
+keeps in its ``_cache`` after the first report.  The parts and the input's
+own row form one block; its Gram matrix gives every norm and share and is
+checked for finiteness once, and each part's tensor is a read-only view of
+its row.  The symmetry class reads the four class defects of
+``symmetrizers.defects``, relative to the input's max-abs component.  The
+JSON document and the text rendering both read the report's own fields, so
+both carry identical numbers.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 from . import gl3, o3, parts
 from .constitutive import HallTensor, PiezoTensor
 from .sl3 import pseudo_scalar_of
+from .symmetrizers import defects
 from .tensor import EUCLIDEAN, Metric, Tensor3, TensorError, VarianceError, max_abs
 
 REPORT_SCHEMA = 1
@@ -62,47 +64,29 @@ REPORT_PARTS = {
 }
 
 #: the operators of each report's one product: its parts, then the identity,
-#: whose row is the input, and the symmetric and antisymmetric parts the
-#: symmetry class reads
+#: whose row is the input
 _OPERATORS = {
-    key: tuple(name for _, name in named) + ("identity", "symmetric", "antisymmetric")
-    for key, named in REPORT_PARTS.items()
+    key: tuple(name for _, name in named) + ("identity",) for key, named in REPORT_PARTS.items()
 }
+
+#: the symmetry classes, most specific first
+_CLASSES = ("fully-symmetric", "fully-antisymmetric", "pair-symmetric-jk", "pair-antisymmetric-ij")
 
 #: report shapes that carry the pseudo-scalar
 _PSEUDO_SCALAR_SHAPES = ("sl3", "so3", "hall")
 
 
-def classify_symmetry(
-    t: Tensor3,
-    rel_tol: float = CLASSIFY_REL_TOL,
-    *,
-    s: np.ndarray | None = None,
-    a: np.ndarray | None = None,
-) -> str:
+def classify_symmetry(t: Tensor3, rel_tol: float = CLASSIFY_REL_TOL) -> str:
     """Most specific symmetry class of ``t``.
 
     One of ``fully-symmetric``, ``fully-antisymmetric``, ``pair-symmetric-jk``,
-    ``pair-antisymmetric-ij``, ``generic``.  A caller that already holds the
-    symmetric and antisymmetric parts of ``t``'s components passes them as
-    ``s`` and ``a``; otherwise they are computed here when needed.  They are
-    trusted, not checked: they must be ``parts.symmetric(t.components)`` and
-    ``parts.antisymmetric(t.components)``, or the class is wrong.
+    ``pair-antisymmetric-ij``, ``generic``: the first class, in that order,
+    whose defect from ``symmetrizers.defects`` is at most ``rel_tol`` times
+    the max-abs component of ``t``.  The zero tensor is fully symmetric.
     """
-    scale = t.max_abs()
-    if scale == 0.0:
-        return "fully-symmetric"
-    threshold = rel_tol * scale
-    c = t.components
-    if max_abs(c - (parts.symmetric(c) if s is None else s)) <= threshold:
-        return "fully-symmetric"
-    if max_abs(c - (parts.antisymmetric(c) if a is None else a)) <= threshold:
-        return "fully-antisymmetric"
-    if max_abs(c - np.transpose(c, (0, 2, 1))) <= threshold:
-        return "pair-symmetric-jk"
-    if max_abs(c + np.transpose(c, (1, 0, 2))) <= threshold:
-        return "pair-antisymmetric-ij"
-    return "generic"
+    threshold = rel_tol * t.max_abs()
+    found = defects(_CLASSES, t.components)
+    return next((name for name, defect in zip(_CLASSES, found) if defect <= threshold), "generic")
 
 
 @dataclass(frozen=True)
@@ -213,7 +197,7 @@ def build_report(
     arrays.setflags(write=False)
     count = len(named)
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = o3.gram(arrays[: count + 1].reshape(count + 1, 27), metric, t.variance)
+        gram = o3.gram(arrays.reshape(count + 1, 27), metric, t.variance)
     # the contraction is positive definite, so a part that overflowed leaves
     # a non-finite diagonal entry too
     if not np.isfinite(gram).all():
@@ -229,14 +213,13 @@ def build_report(
                   Tensor3._trusted(array, t.variance, t.parity))
         for (label, name), norm, share, array in zip(named, norms.tolist(), shares.tolist(), arrays)
     )
-    s, a = arrays[count + 1:]
     return DecompositionReport(
         level=level if mode == "generic" else "o3",
         mode=mode,
         family=family,
         input_summary={
             "norm": float(norms[-1]),
-            "symmetry_class": classify_symmetry(t, s=s, a=a),
+            "symmetry_class": classify_symmetry(t),
             "variance": t.variance,
             "parity": t.parity,
         },

@@ -3,6 +3,11 @@
 Operators are kept unnormalized with integer coefficients so that formal
 identities such as ``FULL_SYMMETRIZER @ FULL_SYMMETRIZER == 6 * FULL_SYMMETRIZER``
 hold exactly; the decomposition layer applies the 1/6 and 1/3 normalizations.
+
+Every symmetry test of the package reads one table: ``SYMMETRIES`` names
+each symmetry by the elements that vanish exactly on the tensors having it,
+such as ``I - S/6`` or ``I + (12)``, and ``defects(names, x)`` measures how
+far one tensor is from each named symmetry.
 """
 
 from __future__ import annotations
@@ -147,6 +152,40 @@ MIXED_TILDE = (_SYM_23 @ _ANTI_12, _SYM_12 @ _ANTI_23)
 MIXED_HAT = (_ANTI_23 @ _SYM_12, _ANTI_12 @ _SYM_23)
 
 MIXED_PAIRS = {"plain": MIXED_PLAIN, "tilde": MIXED_TILDE, "hat": MIXED_HAT}
+
+#: each symmetry by name, as the elements that send exactly the tensors with
+#: that symmetry to zero
+SYMMETRIES: dict[str, tuple[GroupAlgebraElement, ...]] = {
+    "fully-symmetric": (IDENTITY_OP - FULL_SYMMETRIZER * (1.0 / 6.0),),
+    "fully-antisymmetric": (IDENTITY_OP - FULL_ANTISYMMETRIZER * (1.0 / 6.0),),
+    "pair-symmetric-jk": (_ANTI_23,),
+    "pair-antisymmetric-ij": (_SYM_12,),
+    "pair-symmetric-ij": (_ANTI_12,),
+    "pair-symmetric-ik": (_ANTI_13,),
+    "mixed": (FULL_SYMMETRIZER * (1.0 / 6.0), FULL_ANTISYMMETRIZER * (1.0 / 6.0)),
+}
+
+#: per tuple of names: the stacked coefficients of their elements, and the
+#: first row of each name
+_DEFECT_STACKS: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray]] = {}
+
+
+def defects(names: tuple[str, ...], x: np.ndarray) -> list[float]:
+    """The defect of one tensor's components ``x`` from each named symmetry
+    of ``SYMMETRIES``: the max-abs component of the images of ``x`` under
+    the symmetry's elements, zero exactly when ``x`` has the symmetry.
+
+    ``x`` is gathered once; the stack of coefficients is kept per ``names``.
+    """
+    stack = _DEFECT_STACKS.get(names)
+    if stack is None:
+        elements = [SYMMETRIES[name] for name in names]
+        starts = np.cumsum([0] + [len(e) for e in elements[:-1]])
+        stack = (np.array([e._array for each in elements for e in each]), starts)
+        stack = _DEFECT_STACKS.setdefault(names, stack)
+    coefficients, starts = stack
+    images = coefficients @ x.reshape(27)[_SLOT_ACTION]
+    return np.maximum.reduceat(np.abs(images).max(axis=1), starts).tolist()
 
 
 @dataclass(frozen=True)

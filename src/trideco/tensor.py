@@ -55,11 +55,22 @@ def max_abs(values) -> float:
 
 
 class _TaggedValue:
-    """Shared arithmetic for tagged component arrays."""
+    """Shared validation and arithmetic for tagged component arrays.
+
+    Each subclass sets ``_shape``, the shape of its components, and
+    ``_variances``, its variance tags.
+    """
 
     components: np.ndarray
     variance: str
     parity: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "components", _frozen_array(self.components, self._shape))
+        if self.variance not in self._variances:
+            raise TensorError(f"variance must be one of {self._variances}")
+        if self.parity not in (0, 1):
+            raise TensorError("parity must be 0 or 1")
 
     def _compatible(self, other) -> None:
         if type(self) is not type(other):
@@ -112,13 +123,7 @@ class Tensor3(_TaggedValue):
     components: np.ndarray
     variance: str = "upper"
     parity: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", _frozen_array(self.components, (3, 3, 3)))
-        if self.variance not in TENSOR3_VARIANCES:
-            raise TensorError(f"variance must be one of {TENSOR3_VARIANCES}")
-        if self.parity not in (0, 1):
-            raise TensorError("parity must be 0 or 1")
+    _shape, _variances = (3, 3, 3), TENSOR3_VARIANCES
 
     @classmethod
     def _trusted(cls, components: np.ndarray, variance: str, parity: int) -> "Tensor3":
@@ -150,13 +155,7 @@ class Tensor2(_TaggedValue):
     components: np.ndarray
     variance: str = "uu"
     parity: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", _frozen_array(self.components, (3, 3)))
-        if self.variance not in TENSOR2_VARIANCES:
-            raise TensorError(f"variance must be one of {TENSOR2_VARIANCES}")
-        if self.parity not in (0, 1):
-            raise TensorError("parity must be 0 or 1")
+    _shape, _variances = (3, 3), TENSOR2_VARIANCES
 
     def trace(self) -> float:
         """Slot-contraction trace; meaningful for mixed variance."""
@@ -173,13 +172,7 @@ class Vector3(_TaggedValue):
     components: np.ndarray
     variance: str = "upper"
     parity: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", _frozen_array(self.components, (3,)))
-        if self.variance not in VECTOR_VARIANCES:
-            raise TensorError(f"variance must be one of {VECTOR_VARIANCES}")
-        if self.parity not in (0, 1):
-            raise TensorError("parity must be 0 or 1")
+    _shape, _variances = (3,), VECTOR_VARIANCES
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,8 +181,9 @@ class Metric:
     matrices.
 
     ``g`` must be exactly symmetric as stored.  The inverse is computed once
-    and validated against ``g @ g_inv = I`` to within 1e-12.  The 27x27
-    contraction matrix of each variance, and each part operator
+    and validated against ``g @ g_inv = I`` to within 1e-12 times the
+    condition number of ``g``, the ratio of its extreme eigenvalues.  The
+    27x27 contraction matrix of each variance, and each part operator
     ``parts.operator`` compiles for this metric, is computed on first use
     and kept in the instance's ``_cache``.
     """
@@ -207,7 +201,10 @@ class Metric:
             raise TensorError("metric must be positive definite")
         g_inv = np.linalg.inv(g)
         g_inv = (g_inv + g_inv.T) / 2.0
-        if max_abs(g @ g_inv - np.eye(3)) > 1e-12:
+        # the defect against 1e-12 times cond(g), multiplied out so that the
+        # ratio cannot overflow; a NaN defect, from an inverse that overflowed,
+        # fails
+        if not max_abs(g @ g_inv - np.eye(3)) * eigenvalues[0] <= 1e-12 * eigenvalues[-1]:
             raise TensorError("metric inverse fails the identity check")
         g_inv.setflags(write=False)
         object.__setattr__(self, "g", g)

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,32 @@ class TestIngestion:
         sign = 1.0 if cls is cons.PiezoTensor else -1.0
         assert np.array_equal(c, sign * np.transpose(c, swap))
         assert np.abs(c - arr).max() <= 1e-11 * np.abs(arr).max()
+
+    @pytest.mark.parametrize(
+        "noise", [0.0, 1e-14, 3e-11, 1e-6], ids=["exact", "dust", "repaired", "rejected"]
+    )
+    @pytest.mark.parametrize("cls,variance,swap", SHAPES, ids=["piezo", "hall"])
+    def test_ingestion_matches_the_transpose_formula(self, rng, cls, variance, swap, noise):
+        # the slice projection, the asymmetry and the messages, written out
+        # with transposes as a reference that does not read the defect table
+        shape = unit_pair_symmetric if cls is cons.PiezoTensor else unit_pair_antisymmetric
+        what = "pair-symmetric tensor" if cls is cons.PiezoTensor else "pair-antisymmetric tensor"
+        arr = shape(rng).components * 1e40 + noise * 1e40 * rng.uniform(-1.0, 1.0, (3, 3, 3))
+        swapped = (1.0 if cls is cons.PiezoTensor else -1.0) * np.transpose(arr, swap)
+        asymmetry, scale = np.abs(arr - swapped).max(), np.abs(arr).max()
+        if noise > cons.INGEST_TOL:
+            with pytest.raises(SymmetryError) as error:
+                cls(Tensor3(arr, variance))
+            assert str(error.value) == (
+                f"{what}: relative asymmetry {asymmetry / scale:.3e} exceeds 1e-09"
+            )
+            return
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            wrapped = cls(Tensor3(arr, variance))
+        assert np.array_equal(wrapped.tensor.components, (arr + swapped) / 2.0)
+        expected = [f"{what}: symmetrized away asymmetry {asymmetry:.3e}"] if noise > 1e-13 else []
+        assert [str(w.message) for w in caught] == expected
 
     @pytest.mark.parametrize("cls,variance,swap", SHAPES, ids=["piezo", "hall"])
     def test_warning_points_at_the_caller(self, rng, cls, variance, swap):

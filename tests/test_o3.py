@@ -161,6 +161,13 @@ class TestMixedSplit:
         with pytest.raises(SymmetryError):
             o3.n_trace_split(gl3.symmetric_part(rand_tensor(rng)) + gl3.residue_part(rand_tensor(rng)))
 
+    @pytest.mark.parametrize("part", ["symmetric", "antisymmetric"])
+    def test_rejects_either_full_part(self, rng, part):
+        t = rand_tensor(rng)
+        n = gl3.residue_part(t) + getattr(gl3, f"{part}_part")(t)
+        with pytest.raises(SymmetryError, match="^n_trace_split expects a mixed-symmetry tensor$"):
+            o3.n_trace_split(n)
+
 
 class TestBranchSplit:
     @pytest.mark.parametrize("metric", METRICS, ids=METRIC_IDS)

@@ -12,8 +12,10 @@ from trideco.symmetrizers import (
     MIXED_PAIRS,
     MIXED_PLAIN,
     MIXED_TILDE,
+    SYMMETRIES,
     GroupAlgebraElement,
     YoungDiagram,
+    defects,
     gl3_subspace_dimension,
     hook_dimension_s3,
 )
@@ -152,6 +154,35 @@ class TestApply:
         a = GroupAlgebraElement(coeffs_a)
         b = GroupAlgebraElement(coeffs_b)
         assert (a @ b).apply(t).allclose(a.apply(b.apply(t)), 1e-12)
+
+
+class TestDefects:
+    def test_each_defect_is_the_max_abs_image_of_its_elements(self, rng):
+        x = rand_tensor(rng).components
+        names = tuple(SYMMETRIES)
+        expected = [max(np.abs(e.on_components(x)).max() for e in SYMMETRIES[name])
+                    for name in names]
+        np.testing.assert_allclose(defects(names, x), expected, rtol=1e-15, atol=0)
+        assert defects(names[::-1], x) == defects(names, x)[::-1]
+
+    @pytest.mark.parametrize(
+        "name, axes, sign",
+        [("pair-symmetric-jk", (0, 2, 1), 1), ("pair-antisymmetric-ij", (1, 0, 2), -1),
+         ("pair-symmetric-ij", (1, 0, 2), 1), ("pair-symmetric-ik", (2, 1, 0), 1)],
+    )
+    def test_a_pair_defect_is_exactly_the_transpose_difference(self, rng, name, axes, sign):
+        x = rand_tensor(rng).components * 1e150
+        (defect,) = defects((name,), x)
+        assert defect == np.abs(x - sign * np.transpose(x, axes)).max()
+        assert defects((name,), (x + sign * np.transpose(x, axes)) / 2.0) == [0.0]
+
+    def test_the_full_and_mixed_defects_vanish_on_their_parts(self, rng):
+        x = rand_tensor(rng).components
+        s = FULL_SYMMETRIZER.on_components(x) / 6.0
+        a = FULL_ANTISYMMETRIZER.on_components(x) / 6.0
+        assert min(defects(("fully-symmetric", "fully-antisymmetric", "mixed"), x)) > 0.1
+        assert max(defects(("fully-symmetric",), s) + defects(("fully-antisymmetric",), a)
+                   + defects(("mixed",), x - s - a)) <= 1e-15
 
 
 class TestYoung:

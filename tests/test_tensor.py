@@ -261,6 +261,42 @@ class TestValueTypes:
         with pytest.raises(TensorError):
             Metric(np.diag([1.0, -1.0, 1.0]))
 
+    @pytest.mark.parametrize("cond", [1e3, 1e6, 1e9])
+    def test_rotated_ill_conditioned_metric_accepted(self, rng, cond):
+        q = random_orthogonal(rng).matrix
+        g = q @ np.diag([cond, np.sqrt(cond), 1.0]) @ q.T
+        metric = Metric((g + g.T) / 2.0)
+        assert np.abs(metric.g @ metric.g_inv - np.eye(3)).max() <= 1e-12 * cond
+
+    @pytest.mark.parametrize(
+        "cls, shape, variances",
+        [(Tensor3, (3, 3, 3), ("upper", "lower")), (Tensor2, (3, 3), ("uu", "ll", "lu", "ul")),
+         (Vector3, (3,), ("upper", "lower"))],
+        ids=["tensor3", "tensor2", "vector3"],
+    )
+    def test_validation_messages(self, cls, shape, variances):
+        bad = [
+            ((np.zeros((2, 2)), variances[0], 0), f"expected shape {shape}, got (2, 2)"),
+            ((np.full(shape, np.nan), variances[0], 0), "components must be finite"),
+            ((np.zeros(shape), "xx", 0), f"variance must be one of {variances}"),
+            ((np.zeros(shape), variances[0], 2), "parity must be 0 or 1"),
+        ]
+        for args, message in bad:
+            with pytest.raises(TensorError) as error:
+                cls(*args)
+            assert str(error.value) == message
+
+    def test_trusted_tensor_skips_the_checks(self):
+        components = np.full((3, 3, 3), np.nan)
+        t = Tensor3._trusted(components, "sideways", 7)
+        assert t.components is components and (t.variance, t.parity) == ("sideways", 7)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("smallest", [1e-310, 1e-320])
+    def test_metric_whose_inverse_overflows_rejected(self, smallest):
+        with pytest.raises(TensorError, match="identity check"):
+            Metric(np.diag([smallest, 1.0, 1.0]))
+
     def test_basis_transform_validation(self):
         with pytest.raises(TensorError):
             BasisTransform(np.zeros((3, 3)))

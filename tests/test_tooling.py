@@ -60,13 +60,15 @@ def test_trace_weights_reproduce_the_solved_trace_constants():
 
 def test_reconstruction_solves_use_no_shipped_closed_form():
     # the solves check the shipped formulas only while they do not reuse them
+    # (with the feature helper they call)
     tree = ast.parse((ROOT / "src/trideco/oracle.py").read_text(encoding="utf-8"))
-    (solve,) = [
-        node for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name == "solve_reconstruction"
-    ]
-    used = {node.id for node in ast.walk(solve) if isinstance(node, ast.Name)}
-    used |= {node.attr for node in ast.walk(solve) if isinstance(node, ast.Attribute)}
+    names = {"solve_reconstruction", "_epsilon_terms"}
+    functions = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name in names]
+    assert {function.name for function in functions} == names
+    nodes = [node for function in functions for node in ast.walk(function)]
+    used = {node.id for node in nodes if isinstance(node, ast.Name)}
+    used |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
     forbidden = {
         "contraction", "from_matrix", "axial", "from_axial", "PARTS", "constitutive",
         "RECONSTRUCTION_COEFF", "PIEZO_RECONSTRUCTION_COEFF", "HALL_RECONSTRUCTION_COEFFS",
@@ -102,6 +104,17 @@ def test_projections_the_solves_call_read_no_part_table():
         used = {node.id for node in ast.walk(function) if isinstance(node, ast.Name)}
         used |= {node.attr for node in ast.walk(function) if isinstance(node, ast.Attribute)}
         assert not used & {"evaluate", "PARTS", "_RULES"}, function.name
+
+
+@pytest.mark.parametrize("module", ["report", "o3", "constitutive"])
+def test_symmetry_tests_read_the_one_defect_table(module):
+    # every symmetry test in these modules is a named defect of
+    # symmetrizers.SYMMETRIES, never a hand-written transpose
+    tree = ast.parse((ROOT / f"src/trideco/{module}.py").read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "defects" in used
+    assert not used & {"transpose", "swapaxes"}
 
 
 def test_every_traced_callable_exists():
