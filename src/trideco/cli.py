@@ -4,7 +4,9 @@ Reads a tensor (or Voigt table), runs the requested decomposition, prints a
 text report and optionally writes the JSON document it was rendered from.
 ``--self-check`` runs the built-in verification suite instead: dimension
 ledger, projector families, coefficient solves and matrix/operation
-agreement on seeded random tensors.
+agreement on seeded random tensors.  ``oracle.self_check`` measures and
+judges every check; the text is rendered from the document it returns, and
+``--json`` writes that same document.
 
 Exit codes: 0 success, 1 failed self-check, 2 unreadable or malformed input,
 3 symmetry or variance precondition violation.
@@ -15,8 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-import numpy as np
 
 from . import oracle, report, tensorio
 from .gl3 import FAMILIES
@@ -58,76 +58,38 @@ def _write_json(document: dict, path: str) -> None:
         handle.write("\n")
 
 
+def _render_self_check(check: dict) -> str:
+    """The text of an ``oracle.self_check`` document; each line's status is
+    read from the document's ``failures``."""
+    failures = check["failures"]
+
+    def status(name: str, bad: str = "FAIL") -> str:
+        return bad if name in failures else "ok"
+
+    return "\n".join([
+        "self-check: dimension ledger",
+        *(f"  rank {name:<14} = {rank['measured']:>2}  expected {rank['expected']:>2}  "
+          f"{status(f'rank {name}', 'MISMATCH')}" for name, rank in check["ranks"].items()),
+        "self-check: projector families",
+        *(f"  {label:<10} completeness {family['completeness']:.2e} "
+          f"pairwise {family['pairwise']:.2e}  {status(f'family {label}')}"
+          for label, family in check["families"].items()),
+        "self-check: reconstruction coefficients",
+        *(f"  {system:<22} solved {solve['coefficients']} residual {solve['residual']:.2e}  "
+          f"{status(f'solve {system}')}" for system, solve in check["solves"].items()),
+        f"self-check: matrix/operation agreement (seed {check['seed']})",
+        "  worst deviation over 100 tensors per operator: "
+        f"{max(check['agreement'].values()):.2e}",
+        "self-check: " + ("PASS" if not failures else f"FAIL ({', '.join(failures)})"),
+    ])
+
+
 def _self_check(seed: int, json_path: str | None) -> int:
-    failures = []
-    lines = ["self-check: dimension ledger"]
-    ranks = oracle.dimension_report()
-    for name, measured, expected in ranks:
-        status = "ok" if measured == expected else "MISMATCH"
-        lines.append(f"  rank {name:<14} = {measured:>2}  expected {expected:>2}  {status}")
-        if measured != expected:
-            failures.append(f"rank {name}")
-
-    lines.append("self-check: projector families")
-    sym_family = [oracle.materialize(n) for n in ("symmetric", "antisymmetric", "residue")]
-    five_family = [
-        oracle.materialize(n)
-        for n in ("k_part", "r_part", "antisymmetric", "m_part", "p_part")
-    ]
-    for label, family in (("S+A+N", sym_family), ("K+R+A+M+P", five_family)):
-        result = oracle.verify_projector_family(family)
-        status = "ok" if result.is_resolution else "FAIL"
-        lines.append(
-            f"  {label:<10} completeness {result.completeness_defect:.2e} "
-            f"pairwise {result.max_pairwise_product:.2e}  {status}"
-        )
-        if not result.is_resolution:
-            failures.append(f"family {label}")
-
-    lines.append("self-check: reconstruction coefficients")
-    solves = {}
-    for system, labels, shipped, _ in oracle.SHIPPED_CONSTANTS:
-        solve = oracle.solve_reconstruction(system)
-        deviation = float(np.max(np.abs(solve.coefficients - np.array(shipped))))
-        status = "ok" if deviation <= 1e-10 and solve.residual <= 1e-10 else "FAIL"
-        solved = [round(float(c), 12) for c in solve.coefficients]
-        lines.append(
-            f"  {system:<22} solved {solved} residual {solve.residual:.2e}  {status}"
-        )
-        solves[system] = {"coefficients": solved, "residual": solve.residual}
-        if status != "ok":
-            failures.append(f"solve {system}")
-
-    lines.append(f"self-check: matrix/operation agreement (seed {seed})")
-    worst_by_op = {}
-    for name in oracle.operator_names():
-        worst = oracle.agreement(name, seed=seed)
-        worst_by_op[name] = worst
-        if worst > 1e-12:
-            failures.append(f"agreement {name}")
-    overall = max(worst_by_op.values())
-    lines.append(f"  worst deviation over 100 tensors per operator: {overall:.2e}")
-
-    lines.append("self-check: " + ("PASS" if not failures else f"FAIL ({', '.join(failures)})"))
-    print("\n".join(lines))
+    check = oracle.self_check(seed)
+    print(_render_self_check(check))
     if json_path:
-        _write_json(
-            {
-                "schema": report.REPORT_SCHEMA,
-                "self_check": {
-                    "seed": seed,
-                    "ranks": {
-                        name: {"measured": measured, "expected": expected}
-                        for name, measured, expected in ranks
-                    },
-                    "solves": solves,
-                    "agreement": worst_by_op,
-                    "failures": failures,
-                },
-            },
-            json_path,
-        )
-    return 0 if not failures else 1
+        _write_json({"schema": report.REPORT_SCHEMA, "self_check": check}, json_path)
+    return 0 if not check["failures"] else 1
 
 
 def main(argv=None) -> int:
@@ -158,13 +120,10 @@ def main(argv=None) -> int:
         result = report.build_report(
             value, level=args.level, family=args.family, mode=mode, metric=metric
         )
-    except tensorio.InputFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (SymmetryError, VarianceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except TensorError as exc:
+    except (tensorio.InputFormatError, TensorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,14 @@ complementarity, and least-squares solves recover every closed-form
 coefficient the package ships.  The solves are
 built from nothing but component arrays, the metric and the alternating
 symbol; they never reuse the shipped closed forms, so a transcription error
-in a formula cannot hide from them.
+in a formula cannot hide from them.  Their results are compared with the
+constants the package applies, named in ``SHIPPED_CONSTANTS``.
+
+``self_check`` runs all of these checks once and returns one JSON-ready
+document holding every measurement and the names of the checks that fail
+their bounds (``PROJECTOR_TOL``, ``SOLVE_TOL``, ``AGREEMENT_TOL``); the
+CLI's ``--self-check`` renders its text from that document and writes the
+same document as JSON.
 """
 
 from __future__ import annotations
@@ -21,14 +28,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gl3
-from .parts import PARTS, operator
-from .sl3 import EPSILON
+from . import constitutive, gl3
+from .parts import _TRACE_WEIGHTS, PARTS, operator
+from .sl3 import EPSILON, RECONSTRUCTION_COEFF
 from .tensor import EUCLIDEAN, Metric, Tensor3
 
 RANK_TOL = 1e-9
 #: required ratio between the smallest kept and largest dropped singular value
 RANK_GAP = 1e6
+#: largest idempotence, completeness or pairwise-product defect, in max-abs,
+#: of a verified projector or projector family
+PROJECTOR_TOL = 1e-12
+#: largest distance of a solved coefficient from the shipped one, and largest
+#: residual of the solve
+SOLVE_TOL = 1e-10
+#: largest deviation of a materialized matrix from its part's form
+AGREEMENT_TOL = 1e-12
+
+#: the projector families the self-check verifies; each resolves the identity
+PROJECTOR_FAMILIES = {"S+A+N": ("symmetric", "antisymmetric", "residue"),
+                      "K+R+A+M+P": ("k_part", "r_part", "antisymmetric", "m_part", "p_part")}
 
 
 def _pair_symmetrize(arr: np.ndarray) -> np.ndarray:
@@ -90,7 +109,7 @@ class ProjectorReport:
 
     @property
     def is_projector(self) -> bool:
-        return self.idempotence_defect <= 1e-12
+        return self.idempotence_defect <= PROJECTOR_TOL
 
 
 def verify_projector(linear_map: LinearMap27) -> ProjectorReport:
@@ -112,8 +131,8 @@ class FamilyReport:
     def is_resolution(self) -> bool:
         return (
             all(member.is_projector for member in self.members)
-            and self.completeness_defect <= 1e-12
-            and self.max_pairwise_product <= 1e-12
+            and self.completeness_defect <= PROJECTOR_TOL
+            and self.max_pairwise_product <= PROJECTOR_TOL
         )
 
 
@@ -322,14 +341,64 @@ def dimension_report(metric: Metric = EUCLIDEAN) -> list[tuple[str, int, int]]:
     ]
 
 
+#: the k and m1 weights as the trace weights apply them: a fully symmetric
+#: tensor has the same trace over every pair, and a slots-1,2-symmetric plain
+#: member with trace beta over (1,2) has -beta/2 over the other two pairs
+_K_WEIGHT = float((_TRACE_WEIGHTS @ (1.0, 1.0, 1.0))[0])
+_M1_X, _, _M1_Y = (float(w) for w in _TRACE_WEIGHTS @ (1.0, -0.5, -0.5))
+
+#: (system, ansatz labels, the coefficients the package applies, a hand-derived
+#: value that circulates); the solves are compared with the third column
 SHIPPED_CONSTANTS = (
-    ("n1_from_matrix", ("x", "y", "z"), (-1.0 / 3.0, -1.0 / 3.0, 0.0), (-0.5, -0.5, 0.0)),
-    ("n2_from_matrix", ("x", "y", "z"), (-1.0 / 3.0, 0.0, -1.0 / 3.0), (-0.5, 0.0, -0.5)),
-    ("k_from_trace", ("weight",), (0.2,), (0.2,)),
-    ("m1_from_trace", ("x", "y"), (-0.25, 0.5), (-0.25, 0.5)),
-    ("piezo_n_from_matrix", ("weight",), (1.0 / 3.0,), (0.5,)),
-    ("hall_n_from_matrix", ("x", "y", "z"), (1.0 / 3.0, -1.0 / 3.0, 2.0 / 3.0), (0.5, -0.5, 1.0)),
+    ("n1_from_matrix", ("x", "y", "z"),
+     (RECONSTRUCTION_COEFF, RECONSTRUCTION_COEFF, 0.0), (-0.5, -0.5, 0.0)),
+    ("n2_from_matrix", ("x", "y", "z"),
+     (RECONSTRUCTION_COEFF, 0.0, RECONSTRUCTION_COEFF), (-0.5, 0.0, -0.5)),
+    ("k_from_trace", ("weight",), (_K_WEIGHT,), (0.2,)),
+    ("m1_from_trace", ("x", "y"), (_M1_X, _M1_Y), (-0.25, 0.5)),
+    ("piezo_n_from_matrix", ("weight",), (constitutive.PIEZO_RECONSTRUCTION_COEFF,), (0.5,)),
+    ("hall_n_from_matrix", ("x", "y", "z"), constitutive.HALL_RECONSTRUCTION_COEFFS,
+     (0.5, -0.5, 1.0)),
 )
+
+
+def self_check(seed: int) -> dict:
+    """The self-check as one JSON-ready document.
+
+    ``ranks`` holds each part's measured and expected rank, ``families`` the
+    completeness and pairwise-product defects of each of
+    ``PROJECTOR_FAMILIES`` (a family also fails when a member is not
+    idempotent), ``solves`` each reconstruction solve's rounded
+    coefficients and residual, and ``agreement`` each part's worst
+    deviation over 100 tensors drawn from ``seed``.  ``failures`` names every
+    check outside its bound (``rank <name>``, ``family <label>``, ``solve
+    <system>``, ``agreement <name>``), in that order.
+    """
+    ranks = {name: {"measured": measured, "expected": expected}
+             for name, measured, expected in dimension_report()}
+    failures = [f"rank {name}" for name, r in ranks.items() if r["measured"] != r["expected"]]
+    members = {label: [materialize(name) for name in names]
+               for label, names in PROJECTOR_FAMILIES.items()}
+    families = {}
+    for label, maps in members.items():
+        result = verify_projector_family(maps)
+        families[label] = {"completeness": result.completeness_defect,
+                           "pairwise": result.max_pairwise_product}
+        if not result.is_resolution:
+            failures.append(f"family {label}")
+    solves = {}
+    for system, _, shipped, _ in SHIPPED_CONSTANTS:
+        solve = solve_reconstruction(system)
+        solves[system] = {"coefficients": [round(float(c), 12) for c in solve.coefficients],
+                          "residual": solve.residual}
+        if not (np.max(np.abs(solve.coefficients - shipped)) <= SOLVE_TOL
+                and solve.residual <= SOLVE_TOL):
+            failures.append(f"solve {system}")
+    worst_by_op = {name: agreement(name, seed=seed) for name in operator_names()}
+    failures += [f"agreement {name}" for name, worst in worst_by_op.items()
+                 if not worst <= AGREEMENT_TOL]
+    return {"seed": seed, "ranks": ranks, "families": families, "solves": solves,
+            "agreement": worst_by_op, "failures": failures}
 
 
 def formula_notes(metric: Metric = EUCLIDEAN) -> str:
@@ -361,7 +430,7 @@ def formula_notes(metric: Metric = EUCLIDEAN) -> str:
         lines.append(f"  residual          {solve.residual:.3e}")
         lines.append(f"  system rank       {solve.system_rank}")
         lines.append(f"  shipped           {tuple(float(c) for c in shipped)}")
-        if any(abs(a - b) > 1e-10 for a, b in zip(shipped, quoted)):
+        if any(abs(a - b) > SOLVE_TOL for a, b in zip(shipped, quoted)):
             lines.append(
                 f"  NOTE: a hand derivation circulates with {tuple(quoted)}; it"
             )

@@ -54,6 +54,30 @@ def max_abs(values) -> float:
     return float(np.abs(arr).max()) if arr.size else 0.0
 
 
+def _checked_inverse(matrix, low, high, message: str, symmetric: bool = False) -> np.ndarray:
+    """The read-only inverse of ``matrix``, symmetrized if ``symmetric``.
+
+    ``low`` and ``high`` are the extreme eigenvalues or singular values of
+    ``matrix``; ``high / low`` is its condition number.  Unless that
+    condition number is at most 1e10 and ``matrix @ inverse`` is the
+    identity to within 1e-12 times it, ``TensorError(message)`` is raised.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        # both bounds are multiplied out so that no ratio can overflow; the
+        # cap comes first, because past it np.linalg.inv may find the matrix
+        # singular and the relative bound would pass an inverse wrong by O(1)
+        if not high <= 1e10 * low:
+            raise TensorError(message)
+        inverse = np.linalg.inv(matrix)
+        inverse = (inverse + inverse.T) / 2.0 if symmetric else inverse
+        # an inverse that overflowed puts inf * 0 in the product, and that NaN
+        # defect fails
+        if not max_abs(matrix @ inverse - np.eye(3)) * low <= 1e-12 * high:
+            raise TensorError(message)
+    inverse.setflags(write=False)
+    return inverse
+
+
 class _TaggedValue:
     """Shared validation and arithmetic for tagged component arrays.
 
@@ -182,7 +206,8 @@ class Metric:
 
     ``g`` must be exactly symmetric as stored.  The inverse is computed once
     and validated against ``g @ g_inv = I`` to within 1e-12 times the
-    condition number of ``g``, the ratio of its extreme eigenvalues.  The
+    condition number of ``g``, the ratio of its extreme eigenvalues, which
+    must be at most 1e10.  The
     27x27 contraction matrix of each variance, and each part operator
     ``parts.operator`` compiles for this metric, is computed on first use
     and kept in the instance's ``_cache``.
@@ -199,14 +224,8 @@ class Metric:
         eigenvalues = np.linalg.eigvalsh(g)
         if np.min(eigenvalues) <= 0.0:
             raise TensorError("metric must be positive definite")
-        g_inv = np.linalg.inv(g)
-        g_inv = (g_inv + g_inv.T) / 2.0
-        # the defect against 1e-12 times cond(g), multiplied out so that the
-        # ratio cannot overflow; a NaN defect, from an inverse that overflowed,
-        # fails
-        if not max_abs(g @ g_inv - np.eye(3)) * eigenvalues[0] <= 1e-12 * eigenvalues[-1]:
-            raise TensorError("metric inverse fails the identity check")
-        g_inv.setflags(write=False)
+        g_inv = _checked_inverse(g, eigenvalues[0], eigenvalues[-1],
+                                 "metric inverse fails the identity check", symmetric=True)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "g_inv", g_inv)
 
@@ -232,7 +251,12 @@ EUCLIDEAN = Metric.euclidean()
 
 @dataclass(frozen=True, eq=False)
 class BasisTransform:
-    """Invertible change of basis; ``matrix`` acts on upper indices."""
+    """Invertible change of basis; ``matrix`` acts on upper indices.
+
+    The condition number of ``matrix``, the ratio of its extreme singular
+    values, must be at most 1e10, and ``matrix @ inverse = I`` must hold to
+    within 1e-12 times it.
+    """
 
     matrix: np.ndarray
     inverse: np.ndarray = field(init=False)
@@ -242,10 +266,9 @@ class BasisTransform:
         det = np.linalg.det(matrix)
         if det == 0.0 or not np.isfinite(det):
             raise TensorError("basis transform must be invertible")
-        inverse = np.linalg.inv(matrix)
-        if max_abs(matrix @ inverse - np.eye(3)) > 1e-12:
-            raise TensorError("basis transform is too ill-conditioned")
-        inverse.setflags(write=False)
+        singular = np.linalg.svd(matrix, compute_uv=False)
+        inverse = _checked_inverse(matrix, singular[-1], singular[0],
+                                   "basis transform is too ill-conditioned")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "inverse", inverse)
 

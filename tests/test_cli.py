@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from trideco import sl3, tensorio
+from trideco import cli, oracle, sl3, tensorio
 from trideco.cli import main
 
 from helpers import unit_pair_symmetric, unit_tensor
@@ -157,6 +157,17 @@ class TestExitCodes:
         metric_path.write_text(json.dumps({"g": g}))
         assert main(["--input", str(tensor_path), "--metric", str(metric_path)]) == 2
 
+    @pytest.mark.filterwarnings("error")
+    def test_metric_whose_inverse_overflows_is_exit_2_without_warning(self, tmp_path, rng,
+                                                                      capsys):
+        tensor_path = tmp_path / "t.json"
+        tensorio.write_tensor(unit_tensor(rng), tensor_path)
+        metric_path = tmp_path / "g.json"
+        metric_path.write_text(json.dumps({"g": np.diag([1e-320, 1.0, 1.0]).tolist()}))
+        assert main(["--input", str(tensor_path), "--metric", str(metric_path)]) == 2
+        err = capsys.readouterr().err
+        assert "identity check" in err and "RuntimeWarning" not in err
+
     @pytest.mark.parametrize("entry", ["0.5", False], ids=["string", "boolean"])
     def test_voigt_entry_that_is_not_a_number_is_exit_2(self, tmp_path, rng, entry, capsys):
         table = rng.uniform(-1, 1, (3, 6)).tolist()
@@ -198,6 +209,29 @@ class TestSelfCheck:
         assert main(["--self-check", "--seed", "7", "--json", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
         capsys.readouterr()
+
+
+class TestSelfCheckDocument:
+    """The text and the JSON of ``--self-check`` come from one document."""
+
+    def test_text_is_the_rendering_of_the_json(self, tmp_path, capsys):
+        path = tmp_path / "check.json"
+        assert main(["--self-check", "--seed", "4", "--json", str(path)]) == 0
+        check = json.loads(path.read_text())["self_check"]
+        assert list(check) == ["seed", "ranks", "families", "solves", "agreement", "failures"]
+        json.dumps(check, allow_nan=False)
+        assert capsys.readouterr().out == cli._render_self_check(check) + "\n"
+
+    def test_a_failed_check_is_named_in_text_and_json(self, tmp_path, capsys, monkeypatch):
+        measure = oracle.agreement
+        monkeypatch.setattr(
+            oracle, "agreement",
+            lambda name, **kwargs: 1.0 if name == "k_part" else measure(name, **kwargs),
+        )
+        path = tmp_path / "check.json"
+        assert main(["--self-check", "--json", str(path)]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "self-check: FAIL (agreement k_part)"
+        assert json.loads(path.read_text())["self_check"]["failures"] == ["agreement k_part"]
 
 
 def test_console_entry_point_runs(tmp_path):

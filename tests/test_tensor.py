@@ -291,7 +291,7 @@ class TestValueTypes:
         t = Tensor3._trusted(components, "sideways", 7)
         assert t.components is components and (t.variance, t.parity) == ("sideways", 7)
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("smallest", [1e-310, 1e-320])
     def test_metric_whose_inverse_overflows_rejected(self, smallest):
         with pytest.raises(TensorError, match="identity check"):
@@ -300,6 +300,38 @@ class TestValueTypes:
     def test_basis_transform_validation(self):
         with pytest.raises(TensorError):
             BasisTransform(np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("cond", [1e3, 1e6, 1e9])
+    def test_rotated_ill_conditioned_basis_transform_accepted(self, rng, cond):
+        m = (random_orthogonal(rng).matrix @ np.diag([cond, np.sqrt(cond), 1.0])
+             @ random_orthogonal(rng).matrix)
+        r = BasisTransform(m)
+        assert np.abs(r.matrix @ r.inverse - np.eye(3)).max() <= 1e-12 * cond
+
+    @pytest.mark.parametrize("cond", [1e12, 1e16])
+    def test_rotated_numerically_singular_basis_transform_rejected(self, rng, cond):
+        # the relative bound alone would pass these: at cond 1e16 the inverse
+        # is wrong by O(1)
+        m = (random_orthogonal(rng).matrix @ np.diag([1.0, 1.0, 1.0 / cond])
+             @ random_orthogonal(rng).matrix)
+        with pytest.raises(TensorError, match="too ill-conditioned"):
+            BasisTransform(m)
+
+    # at cond 1e17 some draws already have a non-positive eigenvalue, and
+    # np.linalg.inv finds some of the others exactly singular
+    @pytest.mark.parametrize("cond", [1e12, 1e14, 1e17])
+    def test_rotated_numerically_singular_metric_rejected(self, rng, cond):
+        for _ in range(20):
+            q = random_orthogonal(rng).matrix
+            g = q @ np.diag([1.0, 1.0, 1.0 / cond]) @ q.T
+            with pytest.raises(TensorError):
+                Metric((g + g.T) / 2.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("smallest", [1e-310, 1e-320])
+    def test_basis_transform_whose_inverse_overflows_rejected(self, smallest):
+        with pytest.raises(TensorError, match="too ill-conditioned"):
+            BasisTransform(np.diag([smallest, 1.0, 1.0]))
 
     def test_tensor2_variance_tags(self):
         with pytest.raises(TensorError):

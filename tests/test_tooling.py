@@ -48,14 +48,33 @@ def test_solved_trace_weights_match_the_shipped_ones(metric):
 
 
 def test_trace_weights_reproduce_the_solved_trace_constants():
-    shipped = {system: coeffs for system, _, coeffs, _ in oracle.SHIPPED_CONSTANTS}
+    # the k/m1 constants of FORMULA_NOTES.txt, typed here because the shipped
+    # column of oracle.SHIPPED_CONSTANTS is read from _TRACE_WEIGHTS itself;
     # a fully symmetric tensor has the same trace over every pair
-    (weight,) = shipped["k_from_trace"]
-    assert np.allclose(parts._TRACE_WEIGHTS @ [1.0, 1.0, 1.0], [weight] * 3, rtol=0, atol=1e-15)
+    assert np.allclose(parts._TRACE_WEIGHTS @ [1.0, 1.0, 1.0], [0.2] * 3, rtol=0, atol=1e-15)
     # a slots-1,2-symmetric plain member with trace beta over (1,2) has
     # -beta/2 over the other two pairs
-    x, y = shipped["m1_from_trace"]
-    assert np.allclose(parts._TRACE_WEIGHTS @ [1.0, -0.5, -0.5], [x, x, y], rtol=0, atol=1e-15)
+    assert np.allclose(parts._TRACE_WEIGHTS @ [1.0, -0.5, -0.5], [-0.25, -0.25, 0.5],
+                       rtol=0, atol=1e-15)
+
+
+def test_the_solves_are_compared_with_the_constants_that_ship():
+    # the shipped column names the constants the package applies; a number
+    # typed into it could differ from them and the self-check would not see it
+    tree = ast.parse((ROOT / "src/trideco/oracle.py").read_text(encoding="utf-8"))
+    (table,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [ast.unparse(target) for target in node.targets] == ["SHIPPED_CONSTANTS"]
+    ]
+    assert len(table.elts) == len(oracle.SHIPPED_CONSTANTS)
+    for entry in table.elts:
+        system, _, shipped, _ = entry.elts
+        numbers = [
+            node.value for node in ast.walk(shipped)
+            if isinstance(node, ast.Constant) and isinstance(node.value, (int, float))
+        ]
+        assert all(number == 0.0 for number in numbers), system.value
 
 
 def test_reconstruction_solves_use_no_shipped_closed_form():
