@@ -62,6 +62,7 @@ def _render_self_check(check: dict) -> str:
     """The text of an ``oracle.self_check`` document; each line's status is
     read from the document's ``failures``."""
     failures = check["failures"]
+    deviations = check["agreement"].values()
 
     def status(name: str, bad: str = "FAIL") -> str:
         return bad if name in failures else "ok"
@@ -79,7 +80,7 @@ def _render_self_check(check: dict) -> str:
           f"{status(f'solve {system}')}" for system, solve in check["solves"].items()),
         f"self-check: matrix/operation agreement (seed {check['seed']})",
         "  worst deviation over 100 tensors per operator: "
-        f"{max(check['agreement'].values()):.2e}",
+        + ("not finite" if None in deviations else f"{max(deviations):.2e}"),
         "self-check: " + ("PASS" if not failures else f"FAIL ({', '.join(failures)})"),
     ])
 

@@ -24,11 +24,11 @@ from .tensor import (
 )
 
 
-def _require(symmetry: str, t: Tensor3, tol: float, message: str) -> None:
+def _require(symmetry: str, t: Tensor3, tol: float, scale: float, message: str) -> None:
     """Raise ``SymmetryError(message)`` unless ``t`` has the named symmetry of
-    ``symmetrizers.SYMMETRIES`` to within ``tol`` times its max-abs
-    component, floored at 1."""
-    if defects((symmetry,), t.components)[0] > tol * max(1.0, t.max_abs()):
+    ``symmetrizers.SYMMETRIES`` to within ``tol`` times the larger of its
+    max-abs component and ``scale``."""
+    if defects((symmetry,), t.components)[0] > tol * max(scale, t.max_abs()):
         raise SymmetryError(message)
 
 
@@ -62,7 +62,7 @@ def _split(x, parity: int, metric: Metric) -> tuple[Tensor3, Tensor3, np.ndarray
 
 
 def s_trace_split(
-    s: Tensor3, metric: Metric = EUCLIDEAN, tol: float = 1e-9
+    s: Tensor3, metric: Metric = EUCLIDEAN, tol: float = 1e-9, *, scale: float = 0.0
 ) -> tuple[Tensor3, Tensor3, Vector3]:
     """Split a fully symmetric tensor into its trace part and traceless rest.
 
@@ -71,15 +71,21 @@ def s_trace_split(
     independent trace vector of ``s``.  The trace part is the one trace
     projection of ``parts``; on a fully symmetric tensor it puts
     ``alpha / 5`` in each slot.
+
+    The symmetry must hold to within ``tol`` times the larger of the
+    tensor's own max-abs component and ``scale``.  A part split off a
+    tensor carries rounding of that tensor's size, so a caller passes the
+    tensor's ``max_abs()`` as ``scale``; when the part is small next to the
+    tensor, the part alone is too small to judge that rounding by.
     """
     _require_upper(s, "s_trace_split")
-    _require("fully-symmetric", s, tol, "s_trace_split expects a fully symmetric tensor")
+    _require("fully-symmetric", s, tol, scale, "s_trace_split expects a fully symmetric tensor")
     k_part, r_part, t = _split(s.components, s.parity, metric)
     return (k_part, r_part, *_vectors(s.parity, t[0]))
 
 
 def n_trace_split(
-    n: Tensor3, metric: Metric = EUCLIDEAN, tol: float = 1e-9
+    n: Tensor3, metric: Metric = EUCLIDEAN, tol: float = 1e-9, *, scale: float = 0.0
 ) -> tuple[Tensor3, Tensor3, Vector3, Vector3]:
     """Split a mixed-symmetry tensor into its trace part and traceless rest.
 
@@ -87,25 +93,30 @@ def n_trace_split(
     trace projection of ``parts`` applied to the tensor's own traces;
     ``beta`` and ``gamma`` are the independent trace vectors of the two
     plain-family components, whose trace parts add up to the same one.
+    ``tol`` and ``scale`` as in ``s_trace_split``.
     """
     _require_upper(n, "n_trace_split")
-    _require("mixed", n, tol, "n_trace_split expects a mixed-symmetry tensor")
+    _require("mixed", n, tol, scale, "n_trace_split expects a mixed-symmetry tensor")
     m_part, p_part, t = _split(n.components, n.parity, metric)
     return (m_part, p_part, *_vectors(n.parity, *parts.plain_trace_vectors(t)))
 
 
 def n_family_trace_split(
-    n1: Tensor3, n2: Tensor3, metric: Metric = EUCLIDEAN, tol: float = 1e-9
+    n1: Tensor3, n2: Tensor3, metric: Metric = EUCLIDEAN, tol: float = 1e-9, *,
+    scale: float = 0.0
 ) -> tuple[Tensor3, Tensor3, Tensor3, Tensor3]:
     """Trace/traceless split of the two plain-family components.
 
     Returns ``(m1, p1, m2, p2)``; each trace part is the one trace
-    projection of ``parts`` applied to its branch.
+    projection of ``parts`` applied to its branch; ``tol`` and ``scale``, for
+    each component, as in ``s_trace_split``.
     """
     _require_upper(n1, "n_family_trace_split")
     _require_upper(n2, "n_family_trace_split")
-    _require("pair-symmetric-ij", n1, tol, "first component must be symmetric in slots 1,2")
-    _require("pair-symmetric-ik", n2, tol, "second component must be symmetric in slots 1,3")
+    _require("pair-symmetric-ij", n1, tol, scale,
+             "first component must be symmetric in slots 1,2")
+    _require("pair-symmetric-ik", n2, tol, scale,
+             "second component must be symmetric in slots 1,3")
     return (*_split(n1.components, n1.parity, metric)[:2],
             *_split(n2.components, n2.parity, metric)[:2])
 

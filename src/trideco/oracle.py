@@ -5,15 +5,16 @@ component space, so each one can be materialized as an explicit 27x27 matrix
 by evaluating it, as a black box, on the standard basis.  The maps are the
 parts of ``parts.PARTS``: ``materialize`` returns the part's compiled
 operator, the rule walk run once on the 27 stacked basis tensors, and the
-dimension ledger is the table's dimensions.  ``agreement`` checks that
-matrix against the part's form evaluated on one tensor at a time.  Ranks of
-those matrices check the ledger, matrix algebra checks idempotence and
-complementarity, and least-squares solves recover every closed-form
-coefficient the package ships.  The solves are
-built from nothing but component arrays, the metric and the alternating
-symbol; they never reuse the shipped closed forms, so a transcription error
-in a formula cannot hide from them.  Their results are compared with the
-constants the package applies, named in ``SHIPPED_CONSTANTS``.
+dimension ledger is the table's dimensions.  ``agreements`` checks those
+matrices against the rule walk, one ``parts.evaluate`` of every part per
+drawn tensor.  Ranks of those matrices check the ledger, matrix algebra
+checks idempotence and complementarity, and least-squares solves, built
+over the 27 stacked basis tensors, recover every closed-form coefficient
+the package ships.  The solves use nothing but component arrays, the metric
+and the alternating symbol; they never reuse the shipped closed forms, so a
+transcription error in a formula cannot hide from them.  Their results are
+compared with the constants the package applies, named in
+``SHIPPED_CONSTANTS``.
 
 ``self_check`` runs all of these checks once and returns one JSON-ready
 document holding every measurement and the names of the checks that fail
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constitutive, gl3
-from .parts import _TRACE_WEIGHTS, PARTS, operator
+from .parts import _TRACE_WEIGHTS, PARTS, evaluate, operator
 from .sl3 import EPSILON, RECONSTRUCTION_COEFF
 from .tensor import EUCLIDEAN, Metric, Tensor3
 
@@ -48,14 +49,6 @@ AGREEMENT_TOL = 1e-12
 #: the projector families the self-check verifies; each resolves the identity
 PROJECTOR_FAMILIES = {"S+A+N": ("symmetric", "antisymmetric", "residue"),
                       "K+R+A+M+P": ("k_part", "r_part", "antisymmetric", "m_part", "p_part")}
-
-
-def _pair_symmetrize(arr: np.ndarray) -> np.ndarray:
-    return (arr + np.transpose(arr, (0, 2, 1))) / 2.0
-
-
-def _pair_antisymmetrize(arr: np.ndarray) -> np.ndarray:
-    return (arr - np.transpose(arr, (1, 0, 2))) / 2.0
 
 
 #: ranks of every materialized map, as fixed by the dimension bookkeeping
@@ -168,21 +161,21 @@ class ReconstructionSolve:
     system_rank: int
 
 
-def _basis_tensors(slice_name: str | None = None):
-    for col in range(27):
-        arr = np.zeros(27)
-        arr[col] = 1.0
-        arr = arr.reshape(3, 3, 3)
-        if slice_name == "pair_symmetric":
-            arr = _pair_symmetrize(arr)
-        elif slice_name == "pair_antisymmetric":
-            arr = _pair_antisymmetrize(arr)
-        yield arr
+def _projected_basis(project, slice_name: str | None = None,
+                     variance: str = "upper") -> np.ndarray:
+    """``project`` of each basis tensor, first restricted to the named slice."""
+    basis = np.eye(27).reshape(27, 3, 3, 3)
+    if slice_name == "pair_symmetric":
+        basis = (basis + np.swapaxes(basis, -1, -2)) / 2.0
+    elif slice_name == "pair_antisymmetric":
+        basis = (basis - np.swapaxes(basis, -3, -2)) / 2.0
+    return np.array([project(Tensor3(arr, variance)).components for arr in basis])
 
 
-def _lstsq(features: list[np.ndarray], targets: list[np.ndarray]):
-    design = np.vstack(features)
-    rhs = np.concatenate(targets)
+def _lstsq(features: np.ndarray, target: np.ndarray):
+    # one row per target component; ``features`` adds an axis of ansatz terms
+    design = features.reshape(target.size, -1)
+    rhs = target.reshape(-1)
     coefficients, _, system_rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
     residual = float(np.max(np.abs(design @ coefficients - rhs)))
     return coefficients, residual, int(system_rank)
@@ -190,10 +183,14 @@ def _lstsq(features: list[np.ndarray], targets: list[np.ndarray]):
 
 def _epsilon_terms(mat: np.ndarray) -> np.ndarray:
     """The three candidate terms ``X^p_k e_pmj``, ``X^p_m e_pkj`` and
-    ``X^p_j e_pmk`` of a tensor rebuilt from its matrix ``X``, as the
-    columns of a 27x3 block."""
-    terms = ("pk,pmj->kmj", "pm,pkj->kmj", "pj,pmk->kmj")
-    return np.stack([np.einsum(term, mat, EPSILON).reshape(27) for term in terms], axis=1)
+    ``X^p_j e_pmk`` of the tensors rebuilt from the stacked matrices ``X``,
+    on a trailing axis."""
+    terms = ("bpk,pmj->bkmj", "bpm,pkj->bkmj", "bpj,pmk->bkmj")
+    return np.stack([np.einsum(term, mat, EPSILON) for term in terms], axis=-1)
+
+
+#: the traces over slot pairs (1,2), (1,3) and (2,3) of stacked tensors
+_PAIR_TRACES = ("ij,bijk->bk", "ik,bijk->bj", "jk,bijk->bi")
 
 
 def solve_reconstruction(system: str, metric: Metric = EUCLIDEAN) -> ReconstructionSolve:
@@ -208,82 +205,61 @@ def solve_reconstruction(system: str, metric: Metric = EUCLIDEAN) -> Reconstruct
     * ``piezo_n_from_matrix``: single weight on the pair-symmetric slice.
     * ``hall_n_from_matrix``: three weights on the pair-antisymmetric slice.
 
+    Rows run over the 27 stacked basis tensors, then traces, then components.
     Rank-deficient systems are fine: some ansatz terms are linearly dependent
     on the traceless matrix space, and the minimum-norm solution is returned.
     """
     g, g_inv = metric.g, metric.g_inv
-    features: list[np.ndarray] = []
-    targets: list[np.ndarray] = []
 
     if system in ("n1_from_matrix", "n2_from_matrix"):
         first = system == "n1_from_matrix"
-        for arr in _basis_tensors():
-            t = Tensor3(arr)
-            component = gl3.n_split(t, "plain")[0 if first else 1].components
-            mat = (
-                np.einsum("ijk,kmj->im", EPSILON, component)
-                if first
-                else np.einsum("ijk,jkm->im", EPSILON, component)
-            )
-            features.append(_epsilon_terms(mat))
-            targets.append(component.reshape(27))
+        target = _projected_basis(lambda t: gl3.n_split(t, "plain")[0 if first else 1])
+        mat = np.einsum("ijk,bkmj->bim" if first else "ijk,bjkm->bim", EPSILON, target)
+        features = _epsilon_terms(mat)
         labels = ("x", "y", "z")
 
     elif system == "k_from_trace":
-        for arr in _basis_tensors():
-            s = gl3.symmetric_part(Tensor3(arr)).components
-            alpha = np.einsum("ij,ijk->k", g, s)
-            candidate = (
-                np.einsum("i,jk->ijk", alpha, g_inv)
-                + np.einsum("j,ik->ijk", alpha, g_inv)
-                + np.einsum("k,ij->ijk", alpha, g_inv)
-            )
-            for trace in ("ij,ijk->k", "ik,ijk->j", "jk,ijk->i"):
-                features.append(np.einsum(trace, g, candidate).reshape(-1, 1))
-                targets.append(np.einsum(trace, g, s))
+        s = _projected_basis(gl3.symmetric_part)
+        alpha = np.einsum("ij,bijk->bk", g, s)
+        candidate = (
+            np.einsum("bi,jk->bijk", alpha, g_inv)
+            + np.einsum("bj,ik->bijk", alpha, g_inv)
+            + np.einsum("bk,ij->bijk", alpha, g_inv)
+        )
+        features = np.stack([np.einsum(pair, g, candidate) for pair in _PAIR_TRACES], axis=1)
+        target = np.stack([np.einsum(pair, g, s) for pair in _PAIR_TRACES], axis=1)
         labels = ("weight",)
 
     elif system == "m1_from_trace":
-        for arr in _basis_tensors():
-            n1 = gl3.n_split(Tensor3(arr), "plain")[0].components
-            beta = np.einsum("ij,ijk->k", g, n1)
-            pair_term = np.einsum("i,jk->ijk", beta, g_inv) + np.einsum(
-                "j,ik->ijk", beta, g_inv
-            )
-            last_term = np.einsum("k,ij->ijk", beta, g_inv)
-            for trace in ("ij,ijk->k", "ik,ijk->j", "jk,ijk->i"):
-                features.append(
-                    np.stack(
-                        [np.einsum(trace, g, pair_term), np.einsum(trace, g, last_term)],
-                        axis=1,
-                    )
-                )
-                targets.append(np.einsum(trace, g, n1))
+        n1 = _projected_basis(lambda t: gl3.n_split(t, "plain")[0])
+        beta = np.einsum("ij,bijk->bk", g, n1)
+        pair_term = np.einsum("bi,jk->bijk", beta, g_inv) + np.einsum("bj,ik->bijk", beta, g_inv)
+        last_term = np.einsum("bk,ij->bijk", beta, g_inv)
+        features = np.stack([
+            np.stack([np.einsum(pair, g, pair_term), np.einsum(pair, g, last_term)], axis=-1)
+            for pair in _PAIR_TRACES
+        ], axis=1)
+        target = np.stack([np.einsum(pair, g, n1) for pair in _PAIR_TRACES], axis=1)
         labels = ("x", "y")
 
     elif system == "piezo_n_from_matrix":
-        for arr in _basis_tensors("pair_symmetric"):
-            n = gl3.residue_part(Tensor3(arr)).components
-            mat = np.einsum("ijk,kmj->im", EPSILON, n)
-            candidate = np.einsum("pm,kpj->kmj", mat, EPSILON) + np.einsum(
-                "pj,kpm->kmj", mat, EPSILON
-            )
-            features.append(candidate.reshape(-1, 1))
-            targets.append(n.reshape(27))
+        target = _projected_basis(gl3.residue_part, "pair_symmetric")
+        mat = np.einsum("ijk,bkmj->bim", EPSILON, target)
+        features = np.einsum("bpm,kpj->bkmj", mat, EPSILON) + np.einsum(
+            "bpj,kpm->bkmj", mat, EPSILON
+        )
         labels = ("weight",)
 
     elif system == "hall_n_from_matrix":
-        for arr in _basis_tensors("pair_antisymmetric"):
-            n = gl3.residue_part(Tensor3(arr, "lower")).components
-            mat = np.einsum("ijk,mjk->im", EPSILON, n)
-            features.append(_epsilon_terms(mat))
-            targets.append(n.reshape(27))
+        target = _projected_basis(gl3.residue_part, "pair_antisymmetric", "lower")
+        mat = np.einsum("ijk,bmjk->bim", EPSILON, target)
+        features = _epsilon_terms(mat)
         labels = ("x", "y", "z")
 
     else:
         raise KeyError(f"unknown reconstruction system {system!r}")
 
-    coefficients, residual, system_rank = _lstsq(features, targets)
+    coefficients, residual, system_rank = _lstsq(features, target)
     return ReconstructionSolve(
         system=system,
         labels=labels,
@@ -318,19 +294,41 @@ def generic_tensor(
             return candidate
 
 
-def agreement(op_name: str, metric: Metric = EUCLIDEAN, seed: int = 0,
-              samples: int = 100) -> float:
-    """Max deviation between the materialized matrix and the part's form
-    evaluated on one tensor at a time."""
-    matrix = materialize(op_name, metric).matrix
-    form = PARTS[op_name].form
+#: drawn tensors compared per block in ``agreements``
+_BLOCK = 20
+
+
+def agreements(names, metric: Metric = EUCLIDEAN, seed: int = 0,
+               samples: int = 100) -> dict[str, float]:
+    """Max deviation, per named part, between the materialized matrix and the
+    rule walk over ``samples`` tensors drawn from ``seed``; one ``evaluate``
+    of every named part walks each tensor.  A deviation that is not finite
+    stays NaN or inf, so it fails every bound."""
+    names = tuple(names)
     # the same draws as ``samples`` successive ``random_components`` calls
     arrays = np.random.default_rng(seed).uniform(-1.0, 1.0, (samples, 3, 3, 3))
-    images = (arrays.reshape(samples, 27) @ matrix.T).reshape(samples, 3, 3, 3)
-    worst = 0.0
-    for arr, image in zip(arrays, images):
-        worst = max(worst, float(np.max(np.abs(image - form(arr, metric)))))
-    return worst
+    flat = arrays.reshape(samples, 27)
+    matrices = [materialize(name, metric).matrix.T for name in names]
+    worst = np.zeros(len(names))
+    images = np.empty((_BLOCK, len(names), 3, 3, 3))
+    for start in range(0, samples, _BLOCK):
+        block = arrays[start:start + _BLOCK]
+        # each part's product over all draws, of which this block's rows are
+        # kept: a product over fewer rows can round differently, and keeping
+        # every part's whole product would raise the peak memory instead
+        for j, matrix in enumerate(matrices):
+            images[:len(block), j] = (flat @ matrix)[start:start + _BLOCK].reshape(-1, 3, 3, 3)
+        for image, arr in zip(images, block):
+            deviations = np.abs(image - evaluate(names, arr, metric)).max(axis=(1, 2, 3))
+            worst = np.maximum(worst, deviations)
+    return dict(zip(names, worst.tolist()))
+
+
+def agreement(op_name: str, metric: Metric = EUCLIDEAN, seed: int = 0,
+              samples: int = 100) -> float:
+    """Max deviation between the materialized matrix and the part's rule
+    walk, over ``samples`` tensors drawn from ``seed``."""
+    return agreements((op_name,), metric, seed, samples)[op_name]
 
 
 def dimension_report(metric: Metric = EUCLIDEAN) -> list[tuple[str, int, int]]:
@@ -370,9 +368,9 @@ def self_check(seed: int) -> dict:
     ``PROJECTOR_FAMILIES`` (a family also fails when a member is not
     idempotent), ``solves`` each reconstruction solve's rounded
     coefficients and residual, and ``agreement`` each part's worst
-    deviation over 100 tensors drawn from ``seed``.  ``failures`` names every
-    check outside its bound (``rank <name>``, ``family <label>``, ``solve
-    <system>``, ``agreement <name>``), in that order.
+    deviation over 100 tensors drawn from ``seed``, null if not finite.
+    ``failures`` names every check outside its bound (``rank <name>``,
+    ``family <label>``, ``solve <system>``, ``agreement <name>``), in order.
     """
     ranks = {name: {"measured": measured, "expected": expected}
              for name, measured, expected in dimension_report()}
@@ -394,11 +392,13 @@ def self_check(seed: int) -> dict:
         if not (np.max(np.abs(solve.coefficients - shipped)) <= SOLVE_TOL
                 and solve.residual <= SOLVE_TOL):
             failures.append(f"solve {system}")
-    worst_by_op = {name: agreement(name, seed=seed) for name in operator_names()}
+    worst_by_op = agreements(operator_names(), seed=seed)
     failures += [f"agreement {name}" for name, worst in worst_by_op.items()
                  if not worst <= AGREEMENT_TOL]
     return {"seed": seed, "ranks": ranks, "families": families, "solves": solves,
-            "agreement": worst_by_op, "failures": failures}
+            "agreement": {name: worst if np.isfinite(worst) else None
+                          for name, worst in worst_by_op.items()},
+            "failures": failures}
 
 
 def formula_notes(metric: Metric = EUCLIDEAN) -> str:

@@ -25,8 +25,9 @@ metric)``, one product of ``x`` with the named matrices stacked, so a
 report and a public call compute a part with the same arithmetic.  The
 rule walk itself runs in the compile step, in ``evaluate`` and
 ``Part.form``: the oracle's ``materialize`` returns the compiled matrix,
-and its ``agreement`` checks that matrix against ``Part.form`` run on one
-tensor at a time.  A public function handed a part already split
+and its ``agreements`` checks those matrices against the walk run on one
+drawn tensor at a time, where one ``evaluate`` of every part serves all of
+them.  A public function handed a part already split
 (``o3.s_trace_split`` and its siblings) applies the trace kernels below to
 it.  The oracle's least-squares solves never evaluate the rules, nor do
 the ``gl3`` projections they call.

@@ -58,15 +58,17 @@ def _checked_inverse(matrix, low, high, message: str, symmetric: bool = False) -
     """The read-only inverse of ``matrix``, symmetrized if ``symmetric``.
 
     ``low`` and ``high`` are the extreme eigenvalues or singular values of
-    ``matrix``; ``high / low`` is its condition number.  Unless that
-    condition number is at most 1e10 and ``matrix @ inverse`` is the
-    identity to within 1e-12 times it, ``TensorError(message)`` is raised.
+    ``matrix``; ``high / low`` is its condition number.  Unless ``high`` is
+    positive, that condition number is at most 1e10 and ``matrix @
+    inverse`` is the identity to within 1e-12 times it,
+    ``TensorError(message)`` is raised; so a singular matrix, whose ``low``
+    is 0, is rejected at any scale.
     """
     with np.errstate(invalid="ignore", over="ignore"):
         # both bounds are multiplied out so that no ratio can overflow; the
         # cap comes first, because past it np.linalg.inv may find the matrix
         # singular and the relative bound would pass an inverse wrong by O(1)
-        if not high <= 1e10 * low:
+        if not 0.0 < high <= 1e10 * low:
             raise TensorError(message)
         inverse = np.linalg.inv(matrix)
         inverse = (inverse + inverse.T) / 2.0 if symmetric else inverse
@@ -263,9 +265,6 @@ class BasisTransform:
 
     def __post_init__(self):
         matrix = _frozen_array(self.matrix, (3, 3))
-        det = np.linalg.det(matrix)
-        if det == 0.0 or not np.isfinite(det):
-            raise TensorError("basis transform must be invertible")
         singular = np.linalg.svd(matrix, compute_uv=False)
         inverse = _checked_inverse(matrix, singular[-1], singular[0],
                                    "basis transform is too ill-conditioned")
@@ -332,7 +331,9 @@ def raise_indices(t: Tensor3, metric: Metric = EUCLIDEAN) -> Tensor3:
 
 
 def _parity_factor(value, r: BasisTransform) -> float:
-    return float(np.sign(np.linalg.det(r.matrix))) ** value.parity
+    # the sign from the LU factors: the determinant itself under- or
+    # overflows for a well-conditioned matrix at scale 1e-300 or 1e300
+    return float(np.linalg.slogdet(r.matrix)[0]) ** value.parity
 
 
 def transform(value: Tensor3 | Tensor2 | Vector3, r: BasisTransform):

@@ -7,8 +7,9 @@ import pytest
 
 from trideco import cli, oracle, sl3, tensorio
 from trideco.cli import main
+from trideco.constitutive import PiezoTensor
 
-from helpers import unit_pair_symmetric, unit_tensor
+from helpers import unit_pair_antisymmetric, unit_pair_symmetric, unit_tensor
 
 
 @pytest.fixture
@@ -86,8 +87,6 @@ class TestReportRuns:
         assert report["residual"] <= 1e-12
 
     def test_hall_mode(self, tmp_path, rng):
-        from helpers import unit_pair_antisymmetric
-
         path = tmp_path / "hall.json"
         tensorio.write_tensor(unit_pair_antisymmetric(rng), path)
         json_path = tmp_path / "report.json"
@@ -211,6 +210,47 @@ class TestSelfCheck:
         capsys.readouterr()
 
 
+def _no_constant(name):
+    raise ValueError(f"JSON holds {name}")
+
+
+#: the command-line arguments of each report shape, and how to draw its input
+REPORT_SHAPES = {
+    "gl3": (["--level", "gl3"], unit_tensor),
+    "gl3-family": (["--level", "gl3", "--family", "hat"], unit_tensor),
+    "o3": (["--level", "o3"], unit_tensor),
+    "sl3": (["--level", "sl3"], unit_tensor),
+    "so3": (["--level", "so3"], unit_tensor),
+    "piezo-voigt": ([], unit_pair_symmetric),
+    "hall": (["--mode", "hall"], unit_pair_antisymmetric),
+    "o3-metric": (["--level", "o3"], unit_tensor),
+}
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+@pytest.mark.parametrize("shape", list(REPORT_SHAPES))
+def test_every_report_writes_strict_json(tmp_path, rng, capsys, shape, scale):
+    arguments, draw = REPORT_SHAPES[shape]
+    t = draw(rng) * scale
+    path = tmp_path / "input.json"
+    if shape == "piezo-voigt":
+        tensorio.write_voigt(PiezoTensor(t), path)
+        arguments = ["--voigt", str(path)]
+    else:
+        tensorio.write_tensor(t, path)
+        arguments = ["--input", str(path), *arguments]
+    if shape == "o3-metric":
+        metric_path = tmp_path / "g.json"
+        metric_path.write_text(json.dumps({"g": [[2.0, 0.5, 0.0], [0.5, 1.0, 0.0],
+                                                 [0.0, 0.0, 3.0]]}))
+        arguments += ["--metric", str(metric_path)]
+    json_path = tmp_path / "report.json"
+    assert main([*arguments, "--json", str(json_path)]) == 0
+    capsys.readouterr()
+    report = json.loads(json_path.read_text(), parse_constant=_no_constant)
+    assert report["parts"]
+
+
 class TestSelfCheckDocument:
     """The text and the JSON of ``--self-check`` come from one document."""
 
@@ -223,15 +263,30 @@ class TestSelfCheckDocument:
         assert capsys.readouterr().out == cli._render_self_check(check) + "\n"
 
     def test_a_failed_check_is_named_in_text_and_json(self, tmp_path, capsys, monkeypatch):
-        measure = oracle.agreement
+        measure = oracle.agreements
         monkeypatch.setattr(
-            oracle, "agreement",
-            lambda name, **kwargs: 1.0 if name == "k_part" else measure(name, **kwargs),
+            oracle, "agreements",
+            lambda names, **kwargs: {**measure(names, **kwargs), "k_part": 1.0},
         )
         path = tmp_path / "check.json"
         assert main(["--self-check", "--json", str(path)]) == 1
         assert capsys.readouterr().out.splitlines()[-1] == "self-check: FAIL (agreement k_part)"
         assert json.loads(path.read_text())["self_check"]["failures"] == ["agreement k_part"]
+
+    def test_a_deviation_that_is_not_finite_fails(self, tmp_path, capsys, monkeypatch):
+        walk = oracle.evaluate
+        monkeypatch.setattr(oracle, "evaluate", lambda names, x, metric: [
+            np.full_like(value, np.nan) if name == "k_part" else value
+            for name, value in zip(names, walk(names, x, metric))
+        ])
+        path = tmp_path / "check.json"
+        assert main(["--self-check", "--json", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "worst deviation over 100 tensors per operator: not finite" in out
+        assert out.splitlines()[-1] == "self-check: FAIL (agreement k_part)"
+        check = json.loads(path.read_text(), parse_constant=_no_constant)["self_check"]
+        assert check["failures"] == ["agreement k_part"]
+        assert check["agreement"]["k_part"] is None
 
 
 def test_console_entry_point_runs(tmp_path):

@@ -118,6 +118,27 @@ class TestSymmetricSplit:
         with pytest.raises(SymmetryError):
             o3.s_trace_split(rand_tensor(rng))
 
+    @pytest.mark.parametrize("scale", [1e-12, 1e12])
+    def test_rejects_non_symmetric_input_at_any_scale(self, rng, scale):
+        # the bound is relative to the tensor's own size, with no floor at 1
+        with pytest.raises(SymmetryError):
+            o3.s_trace_split(rand_tensor(rng) * scale)
+
+    def test_part_of_a_larger_tensor_is_judged_at_that_tensor_scale(self, rng):
+        # the symmetric part of a nearly antisymmetric tensor carries rounding
+        # of the whole tensor's size, far above its own
+        rejected = 0
+        for _ in range(20):
+            t = Tensor3(EPSILON + rng.uniform(-1.0, 1.0, (3, 3, 3)) * 1e-12)
+            s = gl3.symmetric_part(t)
+            try:
+                o3.s_trace_split(s)
+            except SymmetryError:
+                rejected += 1
+            k_part, r_part, _ = o3.s_trace_split(s, scale=t.max_abs())
+            assert (k_part + r_part).allclose(s, 1e-15)
+        assert rejected
+
 
 class TestMixedSplit:
     def test_zero_input(self):

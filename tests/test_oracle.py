@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from trideco import constitutive, gl3, o3, oracle, so3
+from trideco import constitutive, gl3, o3, oracle, parts, so3
 from trideco.tensor import EUCLIDEAN, Metric, Tensor3
 
 DIAG_METRIC = Metric(np.diag([2.0, 1.0, 1.0]))
@@ -199,6 +199,36 @@ class TestAgreement:
     def test_agreement_under_non_euclidean_metric(self):
         for name in ("m_part", "piezo_p", "hall_m"):
             assert oracle.agreement(name, DIAG_METRIC, seed=1, samples=50) < 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 12345])
+    @pytest.mark.parametrize("metric", METRICS, ids=METRIC_IDS)
+    def test_one_walk_per_tensor_matches_a_walk_per_part(self, metric, seed):
+        # the reference: each part's own form on each drawn tensor
+        arrays = np.random.default_rng(seed).uniform(-1.0, 1.0, (100, 3, 3, 3))
+        expected = {}
+        for name in oracle.operator_names():
+            matrix = oracle.materialize(name, metric).matrix
+            images = (arrays.reshape(100, 27) @ matrix.T).reshape(100, 3, 3, 3)
+            form = parts.PARTS[name].form
+            expected[name] = max(float(np.max(np.abs(image - form(arr, metric))))
+                                 for arr, image in zip(arrays, images))
+        assert oracle.agreements(oracle.operator_names(), metric, seed) == expected
+
+    def test_a_deviation_that_is_not_finite_stays_failed(self, monkeypatch):
+        # a NaN on the first draw must survive the later, finite ones
+        walk = oracle.evaluate
+        walked = []
+
+        def first_walk_nan(names, x, metric):
+            values = walk(names, x, metric)
+            walked.append(x)
+            return [np.full_like(value, np.nan) if len(walked) == 1 and name == "k_part"
+                    else value for name, value in zip(names, values)]
+
+        monkeypatch.setattr(oracle, "evaluate", first_walk_nan)
+        worst = oracle.agreements(("symmetric", "k_part"), samples=5)
+        assert len(walked) == 5
+        assert worst["symmetric"] < 1e-12 and np.isnan(worst["k_part"])
 
 
 class TestPublicCalls:

@@ -301,6 +301,28 @@ class TestValueTypes:
         with pytest.raises(TensorError):
             BasisTransform(np.zeros((3, 3)))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_well_conditioned_basis_transform_accepted_at_extreme_scale(self, rng, scale):
+        # the determinant under- or overflows here; the condition number does not
+        for det in (1.0, -1.0):
+            unit = (random_orthogonal(rng, det).matrix @ np.diag([2.0, 1.5, 1.0])
+                    @ random_orthogonal(rng, 1.0).matrix)
+            r = BasisTransform(scale * unit)
+            assert np.abs(r.matrix @ r.inverse - np.eye(3)).max() <= 1e-14
+            # a pseudo-vector picks up the sign of the determinant at any scale
+            v = Vector3(rng.uniform(-1.0, 1.0, 3), parity=1)
+            expected = transform(v, BasisTransform(unit)).components * scale
+            assert_allclose(transform(v, r).components, expected, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+    def test_singular_basis_transform_rejected_at_any_scale(self, rng, scale):
+        singular = (random_orthogonal(rng).matrix @ np.diag([2.0, 1.0, 0.0])
+                    @ random_orthogonal(rng).matrix)
+        for m in (np.diag([scale, scale, 0.0]), scale * singular):
+            with pytest.raises(TensorError):
+                BasisTransform(m)
+
     @pytest.mark.parametrize("cond", [1e3, 1e6, 1e9])
     def test_rotated_ill_conditioned_basis_transform_accepted(self, rng, cond):
         m = (random_orthogonal(rng).matrix @ np.diag([cond, np.sqrt(cond), 1.0])

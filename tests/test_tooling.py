@@ -98,16 +98,16 @@ def test_reconstruction_solves_use_no_shipped_closed_form():
 
 
 def test_agreement_checks_the_compiled_matrix_against_the_rule_walk():
-    # the matrix comes from the compiled operator; the forms it is checked
-    # against must come from the rules, one tensor at a time
+    # the matrices come from the compiled operators; the parts they are
+    # checked against must come from the rule walk, one tensor at a time
     tree = ast.parse((ROOT / "src/trideco/oracle.py").read_text(encoding="utf-8"))
-    (agreement,) = [
+    (agreements,) = [
         node for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name == "agreement"
+        if isinstance(node, ast.FunctionDef) and node.name == "agreements"
     ]
-    used = {node.id for node in ast.walk(agreement) if isinstance(node, ast.Name)}
-    used |= {node.attr for node in ast.walk(agreement) if isinstance(node, ast.Attribute)}
-    assert {"materialize", "form"} <= used
+    used = {node.id for node in ast.walk(agreements) if isinstance(node, ast.Name)}
+    used |= {node.attr for node in ast.walk(agreements) if isinstance(node, ast.Attribute)}
+    assert {"materialize", "evaluate"} <= used
     assert not used & {"operator", "apply", "_FREE_OPERATORS", "_cache"}
 
 
