@@ -8,19 +8,35 @@ agreement on seeded random tensors.  ``oracle.self_check`` measures and
 judges every check; the text is rendered from the document it returns, and
 ``--json`` writes that same document.
 
-Exit codes: 0 success, 1 failed self-check, 2 unreadable or malformed input,
-3 symmetry or variance precondition violation.
+Exit codes: 0 success, 1 failed self-check, 2 unreadable or malformed input
+or an option out of range, 3 symmetry or variance precondition violation.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import oracle, report, tensorio
 from .gl3 import FAMILIES
 from .tensor import EUCLIDEAN, SymmetryError, TensorError, VarianceError
+
+
+def _non_negative(kind):
+    """An argparse type: ``kind`` of the text, which must be finite and at
+    least 0, so argparse rejects anything else with exit code 2."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = -1
+        if not 0 <= value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"expected a finite {kind.__name__} >= 0, got {text!r}")
+        return value
+    return parse
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -41,11 +57,11 @@ def _parser() -> argparse.ArgumentParser:
                         help="metric JSON file (default: Euclidean)")
     parser.add_argument("--json", metavar="PATH", dest="json_path",
                         help="also write the JSON report here")
-    parser.add_argument("--tol", type=float, default=1e-12,
+    parser.add_argument("--tol", type=_non_negative(float), default=1e-12,
                         help="relative factor of the Gram orthogonality flag: off-diagonal "
                              "entries above tol times the largest diagonal entry are "
                              "flagged (default: 1e-12)")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=_non_negative(int), default=0,
                         help="seed for the self-check random-tensor suite")
     parser.add_argument("--self-check", action="store_true",
                         help="run the verification suite and exit")

@@ -10,11 +10,12 @@ matrices against the rule walk, one ``parts.evaluate`` of every part per
 drawn tensor.  Ranks of those matrices check the ledger, matrix algebra
 checks idempotence and complementarity, and least-squares solves, built
 over the 27 stacked basis tensors, recover every closed-form coefficient
-the package ships.  The solves use nothing but component arrays, the metric
-and the alternating symbol; they never reuse the shipped closed forms, so a
-transcription error in a formula cannot hide from them.  Their results are
-compared with the constants the package applies, named in
-``SHIPPED_CONSTANTS``.
+the package ships: the reconstruction weights, the skew-half constants of
+the so3, piezo and Hall matrix representations, and the trace weights.
+The solves use nothing but component arrays, the metric and the alternating
+symbol; they never reuse the shipped closed forms, so a transcription error
+in a formula cannot hide from them.  Their results are compared with the
+constants the package applies, named in ``SHIPPED_CONSTANTS``.
 
 ``self_check`` runs all of these checks once and returns one JSON-ready
 document holding every measurement and the names of the checks that fail
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import constitutive, gl3
+from . import constitutive, gl3, so3
 from .parts import _TRACE_WEIGHTS, PARTS, evaluate, operator
 from .sl3 import EPSILON, RECONSTRUCTION_COEFF
 from .tensor import EUCLIDEAN, Metric, Tensor3
@@ -189,8 +190,41 @@ def _epsilon_terms(mat: np.ndarray) -> np.ndarray:
     return np.stack([np.einsum(term, mat, EPSILON) for term in terms], axis=-1)
 
 
+def _skew(mat: np.ndarray, m: np.ndarray, v: np.ndarray):
+    """The one candidate term ``e_prs v_s`` of the stacked vectors ``v``, on
+    a trailing axis, and the skew half of the stacked matrices ``mat`` with
+    their second slot moved by ``m``: the features and the target of a skew
+    solve."""
+    moved = np.einsum("bim,mn->bin", mat, m)
+    skew = (moved - np.swapaxes(moved, -1, -2)) / 2.0
+    return np.einsum("prs,bs->bpr", EPSILON, v)[..., None], skew
+
+
 #: the traces over slot pairs (1,2), (1,3) and (2,3) of stacked tensors
 _PAIR_TRACES = ("ij,bijk->bk", "ik,bijk->bj", "jk,bijk->bi")
+#: the ``trace_weights`` ansatz terms: ``w<a><b>`` weighs trace ``b`` in the
+#: vector of slot ``a``
+_WEIGHT_LABELS = tuple(f"w{a}{b}" for a in (1, 2, 3) for b in (1, 2, 3))
+
+
+def _pair_traces(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The traces of the stacked tensors ``x`` over each slot pair,
+    contracted with ``m``, on axis 1."""
+    return np.stack([np.einsum(pair, m, x) for pair in _PAIR_TRACES], axis=1)
+
+
+def _placed(v: np.ndarray, m_inv: np.ndarray) -> np.ndarray:
+    """The stacked vectors ``v`` in slot 1, 2 and 3 with ``m_inv`` on the
+    other two slots, on axis 1."""
+    places = ("bi,jk->bijk", "bj,ik->bijk", "bk,ij->bijk")
+    return np.stack([np.einsum(place, v, m_inv) for place in places], axis=1)
+
+
+def _plain_member(first: bool, slice_name: str | None = None):
+    """The plain-family member symmetric in slots 1,2 (``first``) or 1,3 of
+    each basis tensor, and the member's alternating contraction."""
+    n = _projected_basis(lambda t: gl3.n_split(t, "plain")[0 if first else 1], slice_name)
+    return n, np.einsum("ijk,bkmj->bim" if first else "ijk,bjkm->bim", EPSILON, n)
 
 
 def solve_reconstruction(system: str, metric: Metric = EUCLIDEAN) -> ReconstructionSolve:
@@ -204,6 +238,15 @@ def solve_reconstruction(system: str, metric: Metric = EUCLIDEAN) -> Reconstruct
     * ``m1_from_trace``: two weights making the first mixed branch traceless.
     * ``piezo_n_from_matrix``: single weight on the pair-symmetric slice.
     * ``hall_n_from_matrix``: three weights on the pair-antisymmetric slice.
+    * ``first_skew_from_trace`` / ``second_skew_from_trace``: the skew half
+      of a plain member's lowered matrix as a weight times ``e_prs`` on the
+      member's trace vector; ``piezo_skew_from_trace`` the same for the
+      first member on the pair-symmetric slice, whose matrix is that of the
+      whole mixed part, and ``hall_skew_from_trace`` for the raised matrix
+      of the pair-antisymmetric mixed part and its trace covector.
+    * ``trace_weights``: the 3x3 weights, row-major, placing each slot's
+      vector as a combination of the three pair traces, so that the
+      pure-trace tensor built from them has the traces of the input.
 
     Rows run over the 27 stacked basis tensors, then traces, then components.
     Rank-deficient systems are fine: some ansatz terms are linearly dependent
@@ -212,35 +255,38 @@ def solve_reconstruction(system: str, metric: Metric = EUCLIDEAN) -> Reconstruct
     g, g_inv = metric.g, metric.g_inv
 
     if system in ("n1_from_matrix", "n2_from_matrix"):
-        first = system == "n1_from_matrix"
-        target = _projected_basis(lambda t: gl3.n_split(t, "plain")[0 if first else 1])
-        mat = np.einsum("ijk,bkmj->bim" if first else "ijk,bjkm->bim", EPSILON, target)
+        target, mat = _plain_member(system == "n1_from_matrix")
         features = _epsilon_terms(mat)
         labels = ("x", "y", "z")
 
+    elif system in ("first_skew_from_trace", "second_skew_from_trace", "piezo_skew_from_trace"):
+        first = system != "second_skew_from_trace"
+        # a member's matrix is the mixed part's: the other member's vanishes
+        n, mat = _plain_member(first, "pair_symmetric" if system.startswith("piezo") else None)
+        # the trace over the slot pair the member is symmetric in
+        features, target = _skew(mat, g, np.einsum(_PAIR_TRACES[0 if first else 1], g, n))
+        labels = ("weight",)
+
     elif system == "k_from_trace":
         s = _projected_basis(gl3.symmetric_part)
-        alpha = np.einsum("ij,bijk->bk", g, s)
-        candidate = (
-            np.einsum("bi,jk->bijk", alpha, g_inv)
-            + np.einsum("bj,ik->bijk", alpha, g_inv)
-            + np.einsum("bk,ij->bijk", alpha, g_inv)
-        )
-        features = np.stack([np.einsum(pair, g, candidate) for pair in _PAIR_TRACES], axis=1)
-        target = np.stack([np.einsum(pair, g, s) for pair in _PAIR_TRACES], axis=1)
+        placed = _placed(np.einsum("ij,bijk->bk", g, s), g_inv)
+        features = _pair_traces(g, placed[:, 0] + placed[:, 1] + placed[:, 2])
+        target = _pair_traces(g, s)
         labels = ("weight",)
 
     elif system == "m1_from_trace":
         n1 = _projected_basis(lambda t: gl3.n_split(t, "plain")[0])
-        beta = np.einsum("ij,bijk->bk", g, n1)
-        pair_term = np.einsum("bi,jk->bijk", beta, g_inv) + np.einsum("bj,ik->bijk", beta, g_inv)
-        last_term = np.einsum("bk,ij->bijk", beta, g_inv)
-        features = np.stack([
-            np.stack([np.einsum(pair, g, pair_term), np.einsum(pair, g, last_term)], axis=-1)
-            for pair in _PAIR_TRACES
-        ], axis=1)
-        target = np.stack([np.einsum(pair, g, n1) for pair in _PAIR_TRACES], axis=1)
+        placed = _placed(np.einsum("ij,bijk->bk", g, n1), g_inv)
+        features = np.stack([_pair_traces(g, placed[:, 0] + placed[:, 1]),
+                             _pair_traces(g, placed[:, 2])], axis=-1)
+        target = _pair_traces(g, n1)
         labels = ("x", "y")
+
+    elif system == "trace_weights":
+        target = _pair_traces(g, _projected_basis(lambda t: t))
+        features = np.stack([_pair_traces(g, _placed(target[:, b], g_inv)[:, a])
+                             for a in range(3) for b in range(3)], axis=-1)
+        labels = _WEIGHT_LABELS
 
     elif system == "piezo_n_from_matrix":
         target = _projected_basis(gl3.residue_part, "pair_symmetric")
@@ -250,11 +296,16 @@ def solve_reconstruction(system: str, metric: Metric = EUCLIDEAN) -> Reconstruct
         )
         labels = ("weight",)
 
-    elif system == "hall_n_from_matrix":
-        target = _projected_basis(gl3.residue_part, "pair_antisymmetric", "lower")
-        mat = np.einsum("ijk,bmjk->bim", EPSILON, target)
-        features = _epsilon_terms(mat)
-        labels = ("x", "y", "z")
+    elif system in ("hall_n_from_matrix", "hall_skew_from_trace"):
+        n = _projected_basis(gl3.residue_part, "pair_antisymmetric", "lower")
+        mat = np.einsum("ijk,bmjk->bim", EPSILON, n)
+        if system == "hall_n_from_matrix":
+            features, target = _epsilon_terms(mat), n
+            labels = ("x", "y", "z")
+        else:
+            # the raised matrix and the trace covector over slots 1,3
+            features, target = _skew(mat, g_inv, np.einsum(_PAIR_TRACES[1], g_inv, n))
+            labels = ("weight",)
 
     else:
         raise KeyError(f"unknown reconstruction system {system!r}")
@@ -357,6 +408,12 @@ SHIPPED_CONSTANTS = (
     ("piezo_n_from_matrix", ("weight",), (constitutive.PIEZO_RECONSTRUCTION_COEFF,), (0.5,)),
     ("hall_n_from_matrix", ("x", "y", "z"), constitutive.HALL_RECONSTRUCTION_COEFFS,
      (0.5, -0.5, 1.0)),
+    ("first_skew_from_trace", ("weight",), (so3.FIRST_SKEW_COEFF,), (0.5,)),
+    ("second_skew_from_trace", ("weight",), (so3.SECOND_SKEW_COEFF,), (0.75,)),
+    ("piezo_skew_from_trace", ("weight",), (constitutive.PIEZO_SKEW_FROM_TRACE,), (-0.75,)),
+    ("hall_skew_from_trace", ("weight",), (constitutive.HALL_SKEW_FROM_TRACE,), (-1.0 / 3.0,)),
+    ("trace_weights", _WEIGHT_LABELS, tuple(_TRACE_WEIGHTS.flat),
+     (-0.1, -0.1, 0.4, -0.1, 0.4, -0.1, 0.4, -0.1, -0.1)),
 )
 
 
@@ -419,6 +476,8 @@ def formula_notes(metric: Metric = EUCLIDEAN) -> str:
         "Some systems are rank-deficient because the candidate terms obey the",
         "3x3 identity  X^p_k e_pmj - X^p_m e_pkj - X^p_j e_pmk = tr(X) e_kmj,",
         "which vanishes on traceless X; the minimum-norm solution is reported.",
+        "The *_skew_from_trace systems solve skew(matrix) = weight * eps . (trace",
+        "vector); trace_weights solves the 3x3 slot weights of the pure-trace part.",
         "",
     ]
     for system, labels, shipped, quoted in SHIPPED_CONSTANTS:
@@ -438,15 +497,6 @@ def formula_notes(metric: Metric = EUCLIDEAN) -> str:
                 "  fails the defining relations and is not what this package uses."
             )
         lines.append("")
-    lines.append("Matrix-half parametrization constants (solver-checked, both for the")
-    lines.append("Euclidean and non-Euclidean metrics exercised in the test suite):")
-    lines.append("  skew(first mixed matrix)  = -3/4 * eps . (first trace vector)")
-    lines.append("  skew(second mixed matrix) = +3/4 * eps . (second trace vector)")
-    lines.append("  axial vectors therefore equal -3/2 resp. +3/2 times the trace vectors")
-    lines.append("  pair-antisymmetric shape: skew(matrix) = -1/2 * eps . (trace covector)")
-    lines.append("  (a hand derivation circulates with +1/2 resp. -1/3 for the first and")
-    lines.append("  last of these; both fail the defining relations)")
-    lines.append("")
     lines.append("Label conventions for the mixed-pair families on restricted shapes:")
     lines.append("  pair-symmetric input: tilde pair collapses, second member vanishes")
     lines.append("  pair-antisymmetric input: hat pair collapses, FIRST member vanishes")

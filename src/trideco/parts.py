@@ -41,8 +41,8 @@ of ``symmetric``, ``residue``, each plain-family member and the piezo and
 Hall mixed parts alike.  Each of these has a ``<name>_traces`` entry
 outside the ledger, which its trace part and the public calls' trace
 vectors both read, so each trace is contracted once.  The slot weights
-``_TRACE_WEIGHTS`` invert the traces of the three placements;
-``scripts/derive_constants.py`` solves for them independently.
+``_TRACE_WEIGHTS`` invert the traces of the three placements; the
+oracle's ``trace_weights`` solve finds them independently.
 
 The pair-symmetric (piezo) and pair-antisymmetric (Hall) shapes change only
 the mixed part.  The full symmetrizer absorbs the slot swap, so ``piezo_s``,

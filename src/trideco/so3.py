@@ -33,8 +33,9 @@ SECOND_SKEW_COEFF = 0.75
 
 # Proportionality constants between the axial vectors of the skew matrix
 # parts and the trace vectors of the mixed components: contracting
-# eps . vector with eps gives twice the vector.  scripts/derive_constants.py
-# checks both against the solver, for more than one metric.
+# eps . vector with eps gives twice the vector.  The oracle's
+# first_skew_from_trace and second_skew_from_trace solves check the skew
+# coefficients in the self-check; the tests also run them on a second metric.
 AXIAL_FROM_FIRST_TRACE = 2 * FIRST_SKEW_COEFF
 AXIAL_FROM_SECOND_TRACE = 2 * SECOND_SKEW_COEFF
 

@@ -271,10 +271,6 @@ class BasisTransform:
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "inverse", inverse)
 
-    @property
-    def det(self) -> float:
-        return float(np.linalg.det(self.matrix))
-
     @classmethod
     def identity(cls) -> "BasisTransform":
         return cls(np.eye(3))

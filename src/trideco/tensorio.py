@@ -26,6 +26,8 @@ def _load_json(path) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path} is not UTF-8 text: {exc}") from exc
     try:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:

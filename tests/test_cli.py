@@ -186,6 +186,36 @@ class TestExitCodes:
         assert captured.out == ""
         assert "Gram matrix of the parts is not finite" in captured.err
 
+    @pytest.mark.parametrize("flag", ["--input", "--metric", "--voigt"])
+    def test_file_that_is_not_utf8_is_exit_2(self, tmp_path, rng, flag, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        argv = [flag, str(path)]
+        if flag == "--metric":
+            tensor_path = tmp_path / "t.json"
+            tensorio.write_tensor(unit_tensor(rng), tensor_path)
+            argv += ["--input", str(tensor_path)]
+        assert main(argv) == 2
+        assert f"error: {path} is not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--self-check", "--seed", "-1"], ["--self-check", "--seed", "1.5"],
+         ["--tol", "nan"], ["--tol", "-1"], ["--tol", "inf"]],
+        ids=["negative-seed", "float-seed", "nan-tol", "negative-tol", "infinite-tol"],
+    )
+    def test_seed_and_tol_out_of_range_are_exit_2(self, eps_file, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--input", eps_file, *argv])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"argument {argv[-2]}: expected a finite" in captured.err
+
+    def test_zero_and_huge_seed_and_tol_are_accepted(self, eps_file):
+        assert main(["--input", eps_file, "--tol", "0"]) == 0
+        assert main(["--input", eps_file, "--tol", "1e300"]) == 0
+        assert cli._parser().parse_args(["--seed", str(10**30)]).seed == 10**30
+
     def test_no_input(self):
         assert main([]) == 2
 

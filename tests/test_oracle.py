@@ -166,6 +166,11 @@ class TestSolves:
             ("m1_from_trace", (-0.25, 0.5)),
             ("piezo_n_from_matrix", (1.0 / 3.0,)),
             ("hall_n_from_matrix", (1.0 / 3.0, -1.0 / 3.0, 2.0 / 3.0)),
+            ("first_skew_from_trace", (-0.75,)),
+            ("second_skew_from_trace", (0.75,)),
+            ("piezo_skew_from_trace", (-0.75,)),
+            ("hall_skew_from_trace", (-0.5,)),
+            ("trace_weights", (-0.1, -0.1, 0.4, -0.1, 0.4, -0.1, 0.4, -0.1, -0.1)),
         ],
     )
     def test_coefficients(self, system, expected):
@@ -185,6 +190,15 @@ class TestSolves:
         for system in ("k_from_trace", "m1_from_trace"):
             solve = oracle.solve_reconstruction(system, DIAG_METRIC)
             assert solve.residual < 1e-10
+
+    @pytest.mark.parametrize("row", range(len(oracle.SHIPPED_CONSTANTS)))
+    def test_a_wrong_shipped_constant_fails_its_solve(self, monkeypatch, row):
+        # ten times the solve bound off, in one row at a time
+        table = list(oracle.SHIPPED_CONSTANTS)
+        system, labels, shipped, quoted = table[row]
+        table[row] = (system, labels, tuple(c + 10 * oracle.SOLVE_TOL for c in shipped), quoted)
+        monkeypatch.setattr(oracle, "SHIPPED_CONSTANTS", tuple(table))
+        assert oracle.self_check(0)["failures"] == [f"solve {system}"]
 
     def test_unknown_system(self):
         with pytest.raises(KeyError):

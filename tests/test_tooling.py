@@ -1,6 +1,6 @@
-"""The committed formula notes, the constant checks of scripts/derive_constants.py,
-the oracle's independence from the shipped closed forms and the callables the
-benchmark's traced runs wrap."""
+"""The committed formula notes, the oracle's solves of the skew constants and
+the trace weights on more than one metric, the oracle's independence from the
+shipped closed forms and the callables the benchmark's traced runs wrap."""
 
 import ast
 import importlib.util
@@ -29,22 +29,35 @@ def test_formula_notes_file_is_current():
     assert (ROOT / "FORMULA_NOTES.txt").read_bytes() == oracle.formula_notes().encode("utf-8")
 
 
+#: each skew system of the oracle and the constant the package ships for it
+SKEW_CONSTANTS = {
+    "first_skew_from_trace": so3.FIRST_SKEW_COEFF,
+    "second_skew_from_trace": so3.SECOND_SKEW_COEFF,
+    "piezo_skew_from_trace": constitutive.PIEZO_SKEW_FROM_TRACE,
+    "hall_skew_from_trace": constitutive.HALL_SKEW_FROM_TRACE,
+}
+
+
 @pytest.mark.parametrize("metric", [EUCLIDEAN, derive_constants.DIAG], ids=["euclid", "diag211"])
 def test_derived_constants_match_the_shipped_ones(metric):
-    first, first_spread, second, second_spread = derive_constants.axial_constants(metric)
-    assert abs(first - so3.AXIAL_FROM_FIRST_TRACE) < 1e-10
-    assert abs(second - so3.AXIAL_FROM_SECOND_TRACE) < 1e-10
-    assert first_spread < 1e-10 and second_spread < 1e-10
-    piezo, hall = derive_constants.skew_parametrizations(metric)
-    assert abs(piezo - constitutive.PIEZO_SKEW_FROM_TRACE) < 1e-10
-    assert abs(hall - constitutive.HALL_SKEW_FROM_TRACE) < 1e-10
+    solved = {}
+    for system, shipped in SKEW_CONSTANTS.items():
+        solve = oracle.solve_reconstruction(system, metric)
+        (solved[system],) = solve.coefficients
+        assert abs(solved[system] - shipped) < 1e-10, system
+        assert solve.residual <= oracle.SOLVE_TOL, system
+    # the axial vector of eps . v is 2 v, so the axial constants are twice
+    # the skew weights
+    assert abs(2 * solved["first_skew_from_trace"] - so3.AXIAL_FROM_FIRST_TRACE) < 1e-10
+    assert abs(2 * solved["second_skew_from_trace"] - so3.AXIAL_FROM_SECOND_TRACE) < 1e-10
 
 
 @pytest.mark.parametrize("metric", [EUCLIDEAN, derive_constants.DIAG], ids=["euclid", "diag211"])
 def test_solved_trace_weights_match_the_shipped_ones(metric):
-    weights, system_rank = derive_constants.trace_weights(metric)
-    assert system_rank == 9
-    assert np.max(np.abs(weights - parts._TRACE_WEIGHTS)) < 1e-12
+    solve = oracle.solve_reconstruction("trace_weights", metric)
+    assert solve.system_rank == 9
+    assert np.max(np.abs(solve.coefficients.reshape(3, 3) - parts._TRACE_WEIGHTS)) < 1e-12
+    assert solve.residual <= oracle.SOLVE_TOL
 
 
 def test_trace_weights_reproduce_the_solved_trace_constants():
@@ -79,9 +92,10 @@ def test_the_solves_are_compared_with_the_constants_that_ship():
 
 def test_reconstruction_solves_use_no_shipped_closed_form():
     # the solves check the shipped formulas only while they do not reuse them
-    # (with the feature helper they call)
+    # (with every helper they call)
     tree = ast.parse((ROOT / "src/trideco/oracle.py").read_text(encoding="utf-8"))
-    names = {"solve_reconstruction", "_epsilon_terms"}
+    names = {"solve_reconstruction", "_projected_basis", "_lstsq", "_epsilon_terms", "_skew",
+             "_pair_traces", "_placed", "_plain_member"}
     functions = [node for node in tree.body
                  if isinstance(node, ast.FunctionDef) and node.name in names]
     assert {function.name for function in functions} == names
@@ -92,7 +106,10 @@ def test_reconstruction_solves_use_no_shipped_closed_form():
         "contraction", "from_matrix", "axial", "from_axial", "PARTS", "constitutive",
         "RECONSTRUCTION_COEFF", "PIEZO_RECONSTRUCTION_COEFF", "HALL_RECONSTRUCTION_COEFFS",
         "HALL_MATRIX_WEIGHTS", "evaluate", "traces", "from_traces", "_TRACE_WEIGHTS", "halves",
-        "operator",
+        "operator", "so3", "FIRST_SKEW_COEFF", "SECOND_SKEW_COEFF", "AXIAL_FROM_FIRST_TRACE",
+        "AXIAL_FROM_SECOND_TRACE", "PIEZO_SKEW_FROM_TRACE", "HALL_SKEW_FROM_TRACE",
+        "epsilon_contractions", "so3_split", "piezo_decompose", "hall_decompose",
+        "plain_trace_vectors",
     }
     assert not used & forbidden
 
