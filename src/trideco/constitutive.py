@@ -5,12 +5,15 @@ components) has no fully antisymmetric part and its mixed part cannot be
 split further: the decomposition is unique.  A tensor antisymmetric in its
 first two slots (the Hall shape, 9 components) has no fully symmetric part
 and likewise decomposes uniquely.  Both mixed parts are equivalent to a
-single traceless 3x3 pseudo-matrix whose symmetric and skew halves, once
+single traceless 3x3 matrix whose symmetric and skew halves, once
 ``sl3.halves`` has lowered (piezo) or raised (Hall) one slot, carry the
 traceless and the trace piece; one private helper builds the matrix and its
 halves for both shapes, one rebuilds the pieces from the halves, and one
-checks and projects an ingested tensor.  The reconstruction weights below
-are solver-verified (FORMULA_NOTES.txt).
+checks and projects an ingested tensor.  The matrix has the other parity
+than the tensor, since one contraction with the alternating symbol flips it
+(``sl3``), and every inverse map takes the tensor's parity back from the
+matrix with ``sl3.rebuild``.  The reconstruction weights below are
+solver-verified (FORMULA_NOTES.txt).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import parts
-from .sl3 import contraction, from_matrix, halves, pseudo_scalar_of
+from .sl3 import contraction, halves, pseudo_scalar_of, rebuild
 from .symmetrizers import defects
 from .tensor import (
     EUCLIDEAN,
@@ -123,9 +126,7 @@ def _from_halves(pair: tuple[Tensor2, Tensor2], m: np.ndarray,
                  weights: tuple[float, float, float], variance: str) -> tuple[Tensor3, Tensor3]:
     """Each half of ``pair`` with ``m`` moving its second slot back, rebuilt
     as a tensor by ``weights``."""
-    return tuple(
-        Tensor3(from_matrix(half.components @ m, weights), variance, parity=0) for half in pair
-    )
+    return tuple(rebuild(half.components @ m, half.parity, weights, variance) for half in pair)
 
 
 @dataclass(frozen=True)
@@ -171,13 +172,13 @@ def piezo_decompose(d: PiezoTensor, metric: Metric = EUCLIDEAN) -> PiezoParts:
 
 
 def piezo_matrix_rep(parts: PiezoParts) -> Tensor2:
-    """Traceless pseudo-matrix equivalent to the mixed part."""
+    """Traceless matrix equivalent to the mixed part, of the other parity."""
     return parts.b_mat
 
 
 def piezo_n_from_matrix(b_mat: Tensor2) -> Tensor3:
     """Invert the matrix representation of the pair-symmetric mixed part."""
-    return Tensor3(from_matrix(b_mat.components, _PIEZO_WEIGHTS), "upper", parity=0)
+    return rebuild(b_mat.components, b_mat.parity, _PIEZO_WEIGHTS)
 
 
 def piezo_parts_from_matrix(parts: PiezoParts) -> tuple[Tensor3, Tensor3]:
@@ -235,14 +236,13 @@ def hall_decompose(h: HallTensor, metric: Metric = EUCLIDEAN) -> HallParts:
 
 
 def hall_matrix_rep(parts: HallParts) -> Tensor2:
-    """Traceless pseudo-matrix equivalent to the mixed part."""
+    """Traceless matrix equivalent to the mixed part, of the other parity."""
     return parts.a_check
 
 
 def hall_n_from_matrix(a_check: Tensor2) -> Tensor3:
     """Invert the matrix representation of the pair-antisymmetric mixed part."""
-    components = from_matrix(a_check.components, HALL_RECONSTRUCTION_COEFFS)
-    return Tensor3(components, "lower", parity=0)
+    return rebuild(a_check.components, a_check.parity, HALL_RECONSTRUCTION_COEFFS, "lower")
 
 
 def hall_parts_from_matrix(parts: HallParts) -> tuple[Tensor3, Tensor3]:

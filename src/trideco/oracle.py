@@ -32,6 +32,7 @@ import numpy as np
 
 from . import constitutive, gl3, so3
 from .parts import _TRACE_WEIGHTS, PARTS, evaluate, operator
+from .parts import antisymmetric, mixed, residue, symmetric
 from .sl3 import EPSILON, RECONSTRUCTION_COEFF
 from .tensor import EUCLIDEAN, Metric, Tensor3
 
@@ -162,15 +163,21 @@ class ReconstructionSolve:
     system_rank: int
 
 
-def _projected_basis(project, slice_name: str | None = None,
-                     variance: str = "upper") -> np.ndarray:
-    """``project`` of each basis tensor, first restricted to the named slice."""
+def _projected_basis(project, slice_name: str | None = None) -> np.ndarray:
+    """``project`` of the 27 stacked basis tensors, first restricted to the
+    named slice; ``project`` is a group-algebra projection on stacked
+    components."""
     basis = np.eye(27).reshape(27, 3, 3, 3)
     if slice_name == "pair_symmetric":
         basis = (basis + np.swapaxes(basis, -1, -2)) / 2.0
     elif slice_name == "pair_antisymmetric":
         basis = (basis - np.swapaxes(basis, -3, -2)) / 2.0
-    return np.array([project(Tensor3(arr, variance)).components for arr in basis])
+    return project(basis)
+
+
+def _residue(x: np.ndarray) -> np.ndarray:
+    """The mixed-symmetry residue of the stacked tensors ``x``."""
+    return residue(x, symmetric(x), antisymmetric(x))
 
 
 def _lstsq(features: np.ndarray, target: np.ndarray):
@@ -223,7 +230,7 @@ def _placed(v: np.ndarray, m_inv: np.ndarray) -> np.ndarray:
 def _plain_member(first: bool, slice_name: str | None = None):
     """The plain-family member symmetric in slots 1,2 (``first``) or 1,3 of
     each basis tensor, and the member's alternating contraction."""
-    n = _projected_basis(lambda t: gl3.n_split(t, "plain")[0 if first else 1], slice_name)
+    n = _projected_basis(lambda x: mixed(x, "plain", 0 if first else 1), slice_name)
     return n, np.einsum("ijk,bkmj->bim" if first else "ijk,bjkm->bim", EPSILON, n)
 
 
@@ -268,14 +275,14 @@ def solve_reconstruction(system: str, metric: Metric = EUCLIDEAN) -> Reconstruct
         labels = ("weight",)
 
     elif system == "k_from_trace":
-        s = _projected_basis(gl3.symmetric_part)
+        s = _projected_basis(symmetric)
         placed = _placed(np.einsum("ij,bijk->bk", g, s), g_inv)
         features = _pair_traces(g, placed[:, 0] + placed[:, 1] + placed[:, 2])
         target = _pair_traces(g, s)
         labels = ("weight",)
 
     elif system == "m1_from_trace":
-        n1 = _projected_basis(lambda t: gl3.n_split(t, "plain")[0])
+        n1 = _projected_basis(lambda x: mixed(x, "plain", 0))
         placed = _placed(np.einsum("ij,bijk->bk", g, n1), g_inv)
         features = np.stack([_pair_traces(g, placed[:, 0] + placed[:, 1]),
                              _pair_traces(g, placed[:, 2])], axis=-1)
@@ -283,13 +290,13 @@ def solve_reconstruction(system: str, metric: Metric = EUCLIDEAN) -> Reconstruct
         labels = ("x", "y")
 
     elif system == "trace_weights":
-        target = _pair_traces(g, _projected_basis(lambda t: t))
+        target = _pair_traces(g, _projected_basis(lambda x: x))
         features = np.stack([_pair_traces(g, _placed(target[:, b], g_inv)[:, a])
                              for a in range(3) for b in range(3)], axis=-1)
         labels = _WEIGHT_LABELS
 
     elif system == "piezo_n_from_matrix":
-        target = _projected_basis(gl3.residue_part, "pair_symmetric")
+        target = _projected_basis(_residue, "pair_symmetric")
         mat = np.einsum("ijk,bkmj->bim", EPSILON, target)
         features = np.einsum("bpm,kpj->bkmj", mat, EPSILON) + np.einsum(
             "bpj,kpm->bkmj", mat, EPSILON
@@ -297,7 +304,7 @@ def solve_reconstruction(system: str, metric: Metric = EUCLIDEAN) -> Reconstruct
         labels = ("weight",)
 
     elif system in ("hall_n_from_matrix", "hall_skew_from_trace"):
-        n = _projected_basis(gl3.residue_part, "pair_antisymmetric", "lower")
+        n = _projected_basis(_residue, "pair_antisymmetric")
         mat = np.einsum("ijk,bmjk->bim", EPSILON, n)
         if system == "hall_n_from_matrix":
             features, target = _epsilon_terms(mat), n

@@ -29,8 +29,9 @@ and its ``agreements`` checks those matrices against the walk run on one
 drawn tensor at a time, where one ``evaluate`` of every part serves all of
 them.  A public function handed a part already split
 (``o3.s_trace_split`` and its siblings) applies the trace kernels below to
-it.  The oracle's least-squares solves never evaluate the rules, nor do
-the ``gl3`` projections they call.
+it.  The oracle's least-squares solves never evaluate the rules: they apply
+the kernels ``symmetric``, ``antisymmetric``, ``residue`` and ``mixed``,
+which read no table, to the 27 stacked basis tensors.
 
 Every trace part is one projection.  A pure-trace tensor holds a vector in
 one slot and the inverse metric on the other two; ``traces(x, m)`` stacks

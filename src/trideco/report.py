@@ -5,14 +5,18 @@ compiled operators of its parts and of the identity, which the metric
 keeps in its ``_cache`` after the first report.  The parts and the input's
 own row form one block; its Gram matrix gives every norm and share and is
 checked for finiteness once, and each part's tensor is a read-only view of
-its row.  The symmetry class reads the four class defects of
-``symmetrizers.defects``, relative to the input's max-abs component.  The
-JSON document and the text rendering both read the report's own fields, so
-both carry identical numbers.
+its row.  The Gram matrix is taken of the block scaled by a power of two
+near the input's size, which is exact, so the norms and shares neither
+underflow nor overflow at any scale of the data and the metric; the
+report's ``gram`` is scaled back, and may underflow.  The symmetry class
+reads the four class defects of ``symmetrizers.defects``, relative to the
+input's max-abs component.  The JSON document and the text rendering both
+read the report's own fields, so both carry identical numbers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,8 +200,13 @@ def build_report(
     arrays = parts.apply(_OPERATORS[shape, family], x, metric)
     arrays.setflags(write=False)
     count = len(named)
+    # the Gram matrix of the rows scaled by a power of two near the input's
+    # size, which is exact, keeps the norms and shares clear of under- and
+    # overflow at any scale of the data and the metric
+    _, exponent = math.frexp(max_abs(x))
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = o3.gram(arrays.reshape(count + 1, 27), metric, t.variance)
+        scaled = o3.gram(np.ldexp(arrays.reshape(count + 1, 27), -exponent), metric, t.variance)
+        gram = np.ldexp(scaled, 2 * exponent)
     # the contraction is positive definite, so a part that overflowed leaves
     # a non-finite diagonal entry too
     if not np.isfinite(gram).all():
@@ -205,9 +214,10 @@ def build_report(
             "report overflows: the Gram matrix of the parts is not finite "
             f"(max-abs component {max_abs(x):.3e})"
         )
-    norms = np.sqrt(np.maximum(gram.diagonal(), 0.0))
-    total_sq = norms[-1] ** 2
-    shares = norms[:-1] ** 2 / total_sq if total_sq > 0 else np.zeros(count)
+    scaled_norms = np.sqrt(np.maximum(scaled.diagonal(), 0.0))
+    norms = np.ldexp(scaled_norms, exponent)
+    total_sq = scaled_norms[-1] ** 2
+    shares = scaled_norms[:-1] ** 2 / total_sq if total_sq > 0 else np.zeros(count)
     entries = tuple(
         PartEntry(label, parts.PARTS[name].dim, norm, share,
                   Tensor3._trusted(array, t.variance, t.parity))

@@ -1,34 +1,38 @@
 """Volume-element layer: alternating contractions and matrix representations.
 
 The fully antisymmetric part of a tensor is one pseudo-scalar; the mixed part
-is equivalent to a pair of traceless 3x3 pseudo-matrices obtained by
-contracting two slots with the alternating symbol.  The inverse maps ship with
+is equivalent to a pair of traceless 3x3 matrices obtained by contracting two
+slots with the alternating symbol.  The inverse maps ship with
 solver-verified coefficients; see FORMULA_NOTES.txt at the repository root for
 the cross-check record.
+
+The alternating symbol is a pseudo-tensor, so each contraction with it flips
+parity: the matrices of a proper tensor are pseudo-matrices, those of a
+pseudo-tensor are proper, and the tensor rebuilt from a matrix has the other
+parity than the matrix.  That is the whole tag rule of this layer, and of
+``so3`` and ``constitutive`` above it; every tag is read from the input.
 
 The kernels ``contraction``, ``from_matrix``, ``axial`` and ``from_axial``
 hold the library's contractions with the alternating symbol, and ``halves``
 its one split of a matrix into symmetric and skew halves; ``so3`` and
-``constitutive`` call them with their own weights and matrices.
+``constitutive`` call them with their own weights and matrices.  ``rebuild``
+is the one constructor of a tensor from a matrix, and applies the rule.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .permutations import S3
 from .tensor import Tensor2, Tensor3, VarianceError
 
 
 def _build_epsilon() -> np.ndarray:
     eps = np.zeros((3, 3, 3))
-    for perm in itertools.permutations(range(3)):
-        inversions = sum(
-            1 for a in range(3) for b in range(a + 1, 3) if perm[a] > perm[b]
-        )
-        eps[perm] = -1.0 if inversions % 2 else 1.0
+    for perm in S3:
+        eps[perm.images] = perm.sign
     eps.setflags(write=False)
     return eps
 
@@ -60,6 +64,14 @@ def from_matrix(mat: np.ndarray, weights: tuple[float, float, float]) -> np.ndar
     return sum(
         w * np.einsum(term, mat, EPSILON) for term, w in zip(_FROM_MATRIX, weights) if w
     )
+
+
+def rebuild(mat: np.ndarray, parity: int, weights: tuple[float, float, float],
+            variance: str = "upper") -> Tensor3:
+    """The tensor ``from_matrix(mat, weights)`` of a matrix of the given
+    ``parity``, tagged ``variance``.  It has the other parity: one
+    contraction with the alternating symbol flips it."""
+    return Tensor3(from_matrix(mat, weights), variance, (parity + 1) % 2)
 
 
 def axial(skew: np.ndarray) -> np.ndarray:
@@ -135,9 +147,9 @@ def epsilon_contractions(t: Tensor3) -> Sl3Parts:
     )
 
 
-def _require_traceless_pseudo(mat: Tensor2, what: str, tol: float, scale: float) -> None:
-    if mat.variance != "lu" or mat.parity != 1:
-        raise VarianceError(f"{what} expects a mixed (lower, upper) pseudo-matrix")
+def _require_traceless(mat: Tensor2, what: str, tol: float, scale: float) -> None:
+    if mat.variance != "lu":
+        raise VarianceError(f"{what} expects a mixed (lower, upper) matrix")
     if abs(mat.trace()) > tol * max(scale, mat.max_abs()):
         raise VarianceError(f"{what} expects a traceless matrix")
 
@@ -151,17 +163,17 @@ def reconstruct_n1(b_check: Tensor2, tol: float = 1e-9, *, scale: float = 0.0) -
     ``scale``; when the mixed part is small next to the tensor, the matrix
     alone is too small to judge that rounding by.
     """
-    _require_traceless_pseudo(b_check, "reconstruct_n1", tol, scale)
+    _require_traceless(b_check, "reconstruct_n1", tol, scale)
     c = RECONSTRUCTION_COEFF
-    return Tensor3(from_matrix(b_check.components, (c, c, 0.0)), "upper", parity=0)
+    return rebuild(b_check.components, b_check.parity, (c, c, 0.0))
 
 
 def reconstruct_n2(c_check: Tensor2, tol: float = 1e-9, *, scale: float = 0.0) -> Tensor3:
     """Rebuild the slots-1,3-symmetric mixed component from its matrix;
     ``tol`` and ``scale`` as in ``reconstruct_n1``."""
-    _require_traceless_pseudo(c_check, "reconstruct_n2", tol, scale)
+    _require_traceless(c_check, "reconstruct_n2", tol, scale)
     c = RECONSTRUCTION_COEFF
-    return Tensor3(from_matrix(c_check.components, (c, 0.0, c)), "upper", parity=0)
+    return rebuild(c_check.components, c_check.parity, (c, 0.0, c))
 
 
 def reconstruct_n(

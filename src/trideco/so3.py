@@ -1,11 +1,17 @@
 """Finest decomposition layer, combining the metric and the volume element.
 
-Lowering the two pseudo-matrices of the mixed part and splitting each into
+Lowering the two matrices of the mixed part and splitting each into
 symmetric and skew pieces turns the mixed part into two symmetric traceless
-pseudo-matrices plus two proper vectors.  Together with the trace vector and
-traceless remainder of the symmetric part and the pseudo-scalar, this is the
-complete representation of a generic third-order tensor; ``reassemble``
-inverts it exactly.
+matrices plus two vectors.  Together with the trace vector and traceless
+remainder of the symmetric part and the pseudo-scalar, this is the complete
+representation of a generic third-order tensor; ``reassemble`` inverts it
+exactly.
+
+The vectors and the remainder carry the tensor's parity and the matrices the
+other one, since they come from one contraction with the alternating symbol
+(``sl3``): a proper tensor has pseudo-matrices and proper vectors, a
+pseudo-tensor proper matrices and pseudo-vectors.  ``reassemble`` returns
+the parity of the remainder.
 """
 
 from __future__ import annotations
@@ -42,18 +48,13 @@ AXIAL_FROM_SECOND_TRACE = 2 * SECOND_SKEW_COEFF
 
 @dataclass(frozen=True)
 class So3Parts:
-    """Symmetric traceless matrices and proper vectors of the mixed part."""
+    """Symmetric traceless matrices and vectors of the mixed part; the
+    vectors have the tensor's parity, the matrices the other one."""
 
     e_mat: Tensor2
     f_mat: Tensor2
     beta_vec: Vector3
     gamma_vec: Vector3
-
-    def __post_init__(self):
-        if self.e_mat.parity != 1 or self.f_mat.parity != 1:
-            raise TensorError("matrix parts must be pseudo-tensors")
-        if self.beta_vec.parity != 0 or self.gamma_vec.parity != 0:
-            raise TensorError("vector parts must be proper")
 
 
 def so3_split(parts: Sl3Parts, metric: Metric = EUCLIDEAN) -> So3Parts:
@@ -82,7 +83,8 @@ class So3Representation:
 
     The symmetric part is ``(alpha, r_part)``, the antisymmetric part is the
     single pseudo-scalar, and each mixed component is a (matrix, vector)
-    pair.
+    pair.  The matrices have the other parity than the remaining fields,
+    which share one.
     """
 
     alpha: Vector3
@@ -94,10 +96,12 @@ class So3Representation:
     gamma_vec: Vector3
 
     def __post_init__(self):
-        if self.e_mat.parity != 1 or self.f_mat.parity != 1:
-            raise TensorError("matrix parts must be pseudo-tensors")
-        if self.beta_vec.parity != 0 or self.gamma_vec.parity != 0 or self.alpha.parity != 0:
-            raise TensorError("vector parts must be proper")
+        # one contraction with the alternating symbol flips the matrices' parity
+        parities = {v.parity for v in (self.alpha, self.r_part, self.beta_vec, self.gamma_vec)}
+        parities |= {(m.parity + 1) % 2 for m in (self.e_mat, self.f_mat)}
+        if len(parities) != 1:
+            raise TensorError("alpha, r_part and the vectors must share one parity, "
+                              "and the matrices must have the other")
 
 
 def so3_representation(t: Tensor3, metric: Metric = EUCLIDEAN) -> So3Representation:
@@ -121,7 +125,7 @@ def so3_representation(t: Tensor3, metric: Metric = EUCLIDEAN) -> So3Representat
 def _mixed_matrix(sym_low: Tensor2, skew_coeff: float, vec: Vector3,
                   metric: Metric) -> Tensor2:
     low = sym_low.components + skew_coeff * sl3.from_axial(vec.components)
-    return Tensor2(low @ metric.g_inv, "lu", parity=1)
+    return Tensor2(low @ metric.g_inv, "lu", sym_low.parity)
 
 
 def first_component_from(e_mat: Tensor2, beta_vec: Vector3,
@@ -142,8 +146,8 @@ def second_component_from(f_mat: Tensor2, gamma_vec: Vector3,
 
 def reassemble(rep: So3Representation, metric: Metric = EUCLIDEAN) -> Tensor3:
     """Invert ``so3_representation``; exact up to rounding."""
-    if (rep.r_part.variance, rep.r_part.parity) != ("upper", 0):
-        raise VarianceError("reassemble expects a proper upper-variance r_part")
+    if rep.r_part.variance != "upper":
+        raise VarianceError("reassemble expects an upper-variance r_part")
     # a fully symmetric tensor has the same trace alpha over every pair
     k = parts.from_traces(np.broadcast_to(rep.alpha.components, (3, 3)), metric.g_inv)
     rest = k + rep.r_part.components + rep.a_scalar * EPSILON
@@ -152,4 +156,4 @@ def reassemble(rep: So3Representation, metric: Metric = EUCLIDEAN) -> Tensor3:
     scale = max_abs(rest)
     n1 = first_component_from(rep.e_mat, rep.beta_vec, metric, scale=scale)
     n2 = second_component_from(rep.f_mat, rep.gamma_vec, metric, scale=scale)
-    return Tensor3(rest + n1.components + n2.components)
+    return Tensor3(rest + n1.components + n2.components, "upper", rep.r_part.parity)

@@ -1,11 +1,18 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trideco import cli, oracle, sl3, tensorio
+from trideco import cli, oracle, report, sl3, tensorio
+from trideco.gl3 import FAMILIES
 from trideco.cli import main
 from trideco.constitutive import PiezoTensor
 
@@ -354,3 +361,117 @@ def test_read_voigt_converts_the_table_once(tmp_path, rng, monkeypatch):
     monkeypatch.setattr(tensorio, "_as_array", counted)
     tensorio.read_voigt(path)
     assert calls == [str(path)]
+
+
+#: sizes of generated components and metrics, zero and the extremes included
+_SCALES = (0.0, 1e-300, 1e-150, 1e-6, 1.0, 1e6, 1e150, 1e300)
+#: ways a generated array is spoiled, the first one leaving it intact
+_SPOILS = ("none",) * 8 + ("shape", "string", "boolean", "huge-integer", "nan", "infinity",
+                           "null", "nested")
+_SHAPES = ("generic", "pair-symmetric", "pair-antisymmetric", "symmetric")
+
+
+@st.composite
+def _array(draw, shape, fit="generic"):
+    """A generated array of ``shape`` as a JSON value, perhaps spoiled; a
+    tensor is most often of the symmetry ``fit``."""
+    x = np.random.default_rng(draw(st.integers(0, 2**16))).uniform(-1.0, 1.0, shape)
+    if len(shape) == 3:
+        kind = draw(st.sampled_from((fit,) * 4 + _SHAPES))
+        if kind == "pair-symmetric":
+            x = (x + np.swapaxes(x, 1, 2)) / 2.0
+        elif kind == "pair-antisymmetric":
+            x = (x - np.swapaxes(x, 0, 1)) / 2.0
+        elif kind == "symmetric":
+            x = sum(np.transpose(x, axes) for axes in
+                    ((0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1))) / 6.0
+    value = (x * draw(st.sampled_from(_SCALES))).tolist()
+    spoil = draw(st.sampled_from(_SPOILS))
+    if spoil == "shape":
+        return value[:-1]
+    if spoil == "nested":
+        return [value]
+    row = value[0] if len(shape) == 2 else value[0][0]
+    row[0] = {"string": "1.5", "boolean": True, "huge-integer": 10**400, "nan": float("nan"),
+              "infinity": float("-inf"), "null": None}.get(spoil, row[0])
+    return value
+
+
+def _tag(valid):
+    """A tag that is usually one of ``valid``, else of the wrong type."""
+    return st.sampled_from(valid * 16 + [[valid[0]], {"tag": valid[0]}, None, True, 1.0, 2,
+                                         10**400, "1"])
+
+
+@st.composite
+def _file(draw, kind, mode=None):
+    """The bytes of a generated tensor, Voigt table or metric file; a tensor
+    most often fits the report ``mode``."""
+    damage = draw(st.sampled_from(("json",) * 12 + ("raw", "utf-16", "deep")))
+    if damage == "raw":
+        return draw(st.binary(max_size=40))
+    if damage == "deep":
+        depth = draw(st.sampled_from([3, 100, 100_000]))
+        return ('{"components": ' + "[" * depth + "]" * depth + "}").encode()
+    if kind == "tensor":
+        hall = mode == "hall"
+        document = {"variance": draw(_tag(["lower", "upper"] if hall else ["upper", "lower"])),
+                    "components": draw(_array((3, 3, 3), "pair-antisymmetric" if hall else
+                                              "pair-symmetric" if mode == "piezo" else
+                                              "generic"))}
+        parity = draw(st.one_of(st.none(), _tag([0, 1])))
+        if parity is not None:
+            document["parity"] = parity
+    elif kind == "voigt":
+        document = {"voigt": draw(_array((3, 6)))}
+    else:
+        g = np.random.default_rng(draw(st.integers(0, 2**16))).uniform(-1.0, 1.0, (3, 3))
+        form = draw(st.sampled_from(("spd",) * 4 + ("non-symmetric", "indefinite")))
+        g = {"spd": g @ g.T + np.eye(3), "non-symmetric": g + np.eye(3),
+             "indefinite": np.diag([1.0, -1.0, 2.0])}[form]
+        document = {"g": (g * draw(st.sampled_from(_SCALES[1:]))).tolist()}
+    # json.dumps writes NaN and Infinity literals, which the reader rejects
+    text = json.dumps(document)
+    return text.encode("utf-16" if damage == "utf-16" else "utf-8")
+
+
+def _no_constant_allowed(name):
+    raise AssertionError(f"JSON holds {name}")
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    voigt=st.sampled_from([False] * 3 + [True]),
+    data=st.data(),
+    level=st.sampled_from(report.LEVELS),
+    family=st.sampled_from((None,) * 3 + FAMILIES),
+    with_metric=st.booleans(),
+)
+def test_cli_contract_fuzz(voigt, data, level, family, with_metric):
+    # whatever the files and flags, a report exits 0, 2 or 3 without a
+    # traceback, and any JSON it writes is strict
+    mode = data.draw(st.sampled_from((None, "piezo", "piezo", "generic") if voigt
+                                     else (None, *report.MODES)))
+    with tempfile.TemporaryDirectory() as folder:
+        folder = Path(folder)
+        source = folder / "input.json"
+        source.write_bytes(data.draw(_file("voigt" if voigt else "tensor", mode)))
+        argv = ["--voigt" if voigt else "--input", str(source), "--level", level,
+                "--json", str(folder / "report.json")]
+        if mode is not None:
+            argv += ["--mode", mode]
+        if family is not None:
+            argv += ["--family", family]
+        if with_metric:
+            metric = folder / "metric.json"
+            metric.write_bytes(data.draw(_file("metric")))
+            argv += ["--metric", str(metric)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        written = folder / "report.json"
+        assert written.exists() == (code == 0)
+        if code == 0:
+            json.loads(written.read_text(encoding="utf-8"), parse_constant=_no_constant_allowed)

@@ -431,6 +431,31 @@ class TestRestrictedCovariance:
         assert after.a_scalar == pytest.approx(-before.a_scalar, abs=1e-12)
 
 
+
+class TestPseudoTensorInverses:
+    """The matrix of a pseudo-tensor is proper, and every inverse takes the
+    tensor's parity back from it."""
+
+    @pytest.mark.parametrize("metric", METRICS, ids=METRIC_IDS)
+    def test_piezo_inverses_of_a_pseudo_tensor(self, rng, metric):
+        d = cons.PiezoTensor(Tensor3(unit_pair_symmetric(rng).components, "upper", 1))
+        parts = cons.piezo_decompose(d, metric)
+        assert {parts.b_mat.parity, parts.b_sym.parity, parts.b_skew.parity} == {0}
+        rebuilt = (cons.piezo_n_from_matrix(parts.b_mat), *cons.piezo_parts_from_matrix(parts))
+        for actual, expected in zip(rebuilt, (parts.n, parts.m_part, parts.p_part)):
+            assert (actual.variance, actual.parity) == ("upper", 1)
+            assert actual.allclose(expected, 1e-12)
+
+    @pytest.mark.parametrize("metric", METRICS, ids=METRIC_IDS)
+    def test_hall_inverses_of_a_pseudo_tensor(self, rng, metric):
+        h = cons.HallTensor(Tensor3(unit_pair_antisymmetric(rng).components, "lower", 1))
+        parts = cons.hall_decompose(h, metric)
+        assert {parts.a_check.parity, parts.a_sym.parity, parts.a_skew.parity} == {0}
+        rebuilt = (cons.hall_n_from_matrix(parts.a_check), *cons.hall_parts_from_matrix(parts))
+        for actual, expected in zip(rebuilt, (parts.n, parts.m_part, parts.p_part)):
+            assert (actual.variance, actual.parity) == ("lower", 1)
+            assert actual.allclose(expected, 1e-12)
+
 class TestVoigt:
     def test_worked_example(self):
         table = np.zeros((3, 6))

@@ -6,7 +6,7 @@ scales every part, vector and pseudo-scalar by ``c`` and every norm by
 import dataclasses
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trideco import constitutive, gl3, o3, report, so3
@@ -98,3 +98,37 @@ def test_scaling_the_input_scales_every_result(seed, exponent, negative, metric_
         base, scaled = decompose(x, metric), decompose(c * x, metric)
         for (field, value), (_, base_value) in zip(_fields(scaled), _fields(base)):
             assert np.abs(value - c * base_value).max() <= 2e-15 * size, (name, field)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.integers(-150, 150),
+    k=st.integers(0, 50),
+    metric_name=st.sampled_from(sorted(METRICS)),
+)
+# data at 1e-100 under 1e-50 * I once reported every norm and share as 0, and
+# data at 1e-150 under 1e-6 * I shares summing to 0.9999955
+@example(seed=0, exponent=-100, k=50, metric_name="euclid")
+@example(seed=0, exponent=-150, k=6, metric_name="euclid")
+def test_scaling_the_metric_scales_every_norm(seed, exponent, k, metric_name):
+    # A metric c * g scales the contraction of upper indices by c**3 and that
+    # of lower ones, which Hall tensors carry, by c**-3, so every norm by the
+    # power 3/2 of the factor and no share at all.  The metric shrinks for
+    # upper variance and grows for Hall, so the Gram matrix at absolute scale
+    # underflows where the data are small.
+    base_metric = METRICS[metric_name]
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, (3, 3, 3)) * 10.0**exponent
+    for level, mode, family in REPORTS:
+        c = 10.0**k if mode == "hall" else 10.0**-k
+        factor = (1.0 / c if mode == "hall" else c) ** 1.5
+        t = _report_input(x, mode)
+        base = report.build_report(t, level, family, mode, base_metric)
+        scaled = report.build_report(t, level, family, mode, Metric(c * base_metric.g))
+        where = (level, mode, family)
+        norm_bound = 2e-15 * factor * base.input_summary["norm"]
+        assert abs(scaled.input_summary["norm"] - factor * base.input_summary["norm"]) \
+            <= norm_bound, where
+        for part, base_part in zip(scaled.parts, base.parts):
+            assert abs(part.norm - factor * base_part.norm) <= norm_bound, where
+            assert abs(part.share - base_part.share) <= 4e-15, where

@@ -149,9 +149,11 @@ class TestReconstruction:
         assert rebuilt.allclose(gl3.residue_part(t), 1e-12 * t.max_abs())
 
     def test_rejects_wrong_tags(self):
-        proper = Tensor2(np.zeros((3, 3)), "lu", 0)
+        # a proper "lu" matrix is the image of a pseudo-tensor; only the
+        # variance is wrong here
+        lowered = Tensor2(np.zeros((3, 3)), "ll", 1)
         with pytest.raises(VarianceError):
-            sl3.reconstruct_n2(proper)
+            sl3.reconstruct_n2(lowered)
 
     def test_composite_map_equals_mixed_projector(self):
         # reconstruct(contract(.)) must be exactly the mixed-part projector,

@@ -1,19 +1,33 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from trideco import gl3, o3, sl3, so3
-from trideco.tensor import EUCLIDEAN, Metric, Tensor3, Vector3, transform
+from trideco.tensor import (
+    EUCLIDEAN,
+    BasisTransform,
+    Metric,
+    Tensor3,
+    TensorError,
+    Vector3,
+    transform,
+)
 
 from helpers import (
     SMALL_MIXED_KINDS,
     rand_tensor,
+    random_reflection,
     random_rotation,
     small_mixed_tensor,
     unit_tensor,
 )
 
 DIAG_METRIC = Metric(np.diag([2.0, 1.0, 1.0]))
+SPD_METRIC = Metric(np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]]))
 METRICS = [EUCLIDEAN, DIAG_METRIC]
 METRIC_IDS = ["euclid", "diag211"]
 
@@ -151,3 +165,63 @@ class TestRepresentation:
         measured = {name: oracle.rank(oracle.materialize(name)) for name in finest}
         assert measured == finest
         assert sum(finest.values()) == 27
+
+
+#: (field, variance) of each tagged field of a representation whose tags are
+#: the tensor's; ``e_mat`` and ``f_mat`` have the other parity
+TENSOR_PARITY_FIELDS = (("alpha", "upper"), ("r_part", "upper"), ("beta_vec", "upper"),
+                        ("gamma_vec", "upper"))
+MATRIX_FIELDS = (("e_mat", "ll"), ("f_mat", "ll"))
+
+
+class TestParity:
+    """Tags follow the input: one contraction with the alternating symbol
+    flips the matrices' parity, and reassembly returns the input's."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        exponent=st.integers(-150, 150),
+        parity=st.sampled_from([0, 1]),
+        metric=st.sampled_from([EUCLIDEAN, DIAG_METRIC, SPD_METRIC]),
+    )
+    def test_round_trip_keeps_every_tag(self, seed, exponent, parity, metric):
+        x = np.random.default_rng(seed).uniform(-1.0, 1.0, (3, 3, 3)) * 10.0**exponent
+        t = Tensor3(x, "upper", parity)
+        rep = so3.so3_representation(t, metric)
+        for name, variance in TENSOR_PARITY_FIELDS:
+            assert (getattr(rep, name).variance, getattr(rep, name).parity) == (variance, parity)
+        for name, variance in MATRIX_FIELDS:
+            assert (getattr(rep, name).variance, getattr(rep, name).parity) == (
+                variance, 1 - parity)
+        rebuilt = so3.reassemble(rep, metric)
+        assert (rebuilt.variance, rebuilt.parity) == ("upper", parity)
+        assert np.abs(rebuilt.components - x).max() <= 1e-15 * t.max_abs()
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_improper_rotation_moves_every_field_by_its_law(self, rng, parity):
+        t = Tensor3(unit_tensor(rng).components, "upper", parity)
+        for r in (BasisTransform(np.diag([-1.0, 1.0, 1.0])), random_reflection(rng)):
+            before = so3.so3_representation(t)
+            after = so3.so3_representation(transform(t, r))
+            # the pseudo-scalar of a pseudo-tensor is a proper scalar
+            assert after.a_scalar == pytest.approx((-1) ** (parity + 1) * before.a_scalar,
+                                                   abs=1e-14)
+            for name, _ in TENSOR_PARITY_FIELDS + MATRIX_FIELDS:
+                moved = transform(getattr(before, name), r)
+                assert (getattr(after, name) - moved).max_abs() < 1e-14, name
+
+    @pytest.mark.parametrize("name", ["alpha", "r_part", "beta_vec", "gamma_vec", "e_mat",
+                                      "f_mat"])
+    def test_representation_with_mixed_tags_is_rejected(self, rng, name):
+        rep = so3.so3_representation(Tensor3(unit_tensor(rng).components, "upper", 1))
+        value = getattr(rep, name)
+        flipped = type(value)(value.components, value.variance, 1 - value.parity)
+        with pytest.raises(TensorError):
+            dataclasses.replace(rep, **{name: flipped})
+
+    def test_reassemble_needs_an_upper_variance_remainder(self, rng):
+        rep = so3.so3_representation(unit_tensor(rng))
+        lowered = Tensor3(rep.r_part.components, "lower", rep.r_part.parity)
+        with pytest.raises(TensorError):
+            so3.reassemble(dataclasses.replace(rep, r_part=lowered))

@@ -94,8 +94,8 @@ def test_reconstruction_solves_use_no_shipped_closed_form():
     # the solves check the shipped formulas only while they do not reuse them
     # (with every helper they call)
     tree = ast.parse((ROOT / "src/trideco/oracle.py").read_text(encoding="utf-8"))
-    names = {"solve_reconstruction", "_projected_basis", "_lstsq", "_epsilon_terms", "_skew",
-             "_pair_traces", "_placed", "_plain_member"}
+    names = {"solve_reconstruction", "_projected_basis", "_residue", "_lstsq", "_epsilon_terms",
+             "_skew", "_pair_traces", "_placed", "_plain_member"}
     functions = [node for node in tree.body
                  if isinstance(node, ast.FunctionDef) and node.name in names]
     assert {function.name for function in functions} == names
@@ -128,18 +128,81 @@ def test_agreement_checks_the_compiled_matrix_against_the_rule_walk():
     assert not used & {"operator", "apply", "_FREE_OPERATORS", "_cache"}
 
 
+#: the projections the oracle calls, per module: solve_reconstruction applies
+#: the parts kernels to the stacked basis, and the oracle's sampling the gl3
+#: projections
+_ORACLE_PROJECTIONS = {
+    "gl3": {"symmetric_part", "antisymmetric_part", "residue_part", "n_split"},
+    "parts": {"symmetric", "antisymmetric", "residue", "mixed"},
+}
+
+
 def test_projections_the_solves_call_read_no_part_table():
-    # solve_reconstruction calls these, so they stay off the rules it checks
-    tree = ast.parse((ROOT / "src/trideco/gl3.py").read_text(encoding="utf-8"))
-    names = {"symmetric_part", "antisymmetric_part", "residue_part", "n_split"}
-    functions = [
-        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in names
-    ]
-    assert {node.name for node in functions} == names
-    for function in functions:
-        used = {node.id for node in ast.walk(function) if isinstance(node, ast.Name)}
-        used |= {node.attr for node in ast.walk(function) if isinstance(node, ast.Attribute)}
-        assert not used & {"evaluate", "PARTS", "_RULES"}, function.name
+    # the oracle calls these, so they stay off the rules it checks
+    for module, names in _ORACLE_PROJECTIONS.items():
+        tree = ast.parse((ROOT / f"src/trideco/{module}.py").read_text(encoding="utf-8"))
+        functions = [
+            node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in names
+        ]
+        assert {node.name for node in functions} == names
+        for function in functions:
+            used = {node.id for node in ast.walk(function) if isinstance(node, ast.Name)}
+            used |= {node.attr for node in ast.walk(function) if isinstance(node, ast.Attribute)}
+            assert not used & {"evaluate", "PARTS", "_RULES", "operator", "apply"}, function.name
+
+
+#: the tagged value types whose parity the volume-element layer reads from
+#: its input
+_TAGGED = {"Tensor3", "Tensor2", "Vector3"}
+
+
+@pytest.mark.parametrize("module", ["sl3", "so3", "constitutive"])
+def test_volume_element_layer_takes_every_parity_from_its_input(module):
+    # one contraction with the alternating symbol flips parity, and every tag
+    # is derived from the input's by that rule; only the alternating symbol
+    # itself is a pseudo-tensor by definition
+    tree = ast.parse((ROOT / f"src/trideco/{module}.py").read_text(encoding="utf-8"))
+    literal = []
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef) or function.name == "epsilon_tensor":
+            continue
+        for call in ast.walk(function):
+            if not isinstance(call, ast.Call) or ast.unparse(call.func) not in _TAGGED:
+                continue
+            parity = [k.value for k in call.keywords if k.arg == "parity"] or call.args[2:3]
+            # an omitted parity is the literal default 0
+            if not parity or isinstance(parity[0], ast.Constant):
+                literal.append(f"{function.name}: {ast.unparse(call)}")
+    assert not literal
+
+
+def test_code_lines_counts_code_only(tmp_path):
+    source = (
+        '"""Module docstring,\n\nthree lines."""\n'
+        "\n"
+        "# a comment\n"
+        "X = 1  # a trailing comment counts as code\n"
+        "\n"
+        "\n"
+        "def f(a,\n"
+        "      b):\n"
+        '    """One-line docstring."""\n'
+        '    text = """a string,\n'
+        '    not a docstring"""\n'
+        "    return a + b\n"
+        "\n"
+        "\n"
+        "class C:\n"
+        '    """Class\n    docstring."""\n'
+        "\n"
+        "    y = 2\n"
+    )
+    code_lines = _load_by_path("code_lines", "scripts/code_lines.py")
+    # X, both lines of the def, both of the string, return, class and y
+    assert code_lines.code_lines(source) == 8
+    path = tmp_path / "fixture.py"
+    path.write_text(source, encoding="utf-8")
+    assert code_lines.main([str(path)]) == 0
 
 
 @pytest.mark.parametrize("module", ["report", "o3", "constitutive"])
