@@ -1,7 +1,8 @@
 """Homogeneity: every decomposition is linear, so scaling the input by ``c``
 scales every part, vector and pseudo-scalar by ``c`` and every norm by
 ``|c|``, leaves the shares and the symmetry class alone, and does so from
-1e-150 to 1e150."""
+1e-150 to 1e150.  Scaling the metric instead scales every report norm by a
+power 3/2 of the factor and leaves the shares alone."""
 
 import dataclasses
 
