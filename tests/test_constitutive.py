@@ -431,7 +431,6 @@ class TestRestrictedCovariance:
         assert after.a_scalar == pytest.approx(-before.a_scalar, abs=1e-12)
 
 
-
 class TestPseudoTensorInverses:
     """The matrix of a pseudo-tensor is proper, and every inverse takes the
     tensor's parity back from it."""
@@ -455,6 +454,7 @@ class TestPseudoTensorInverses:
         for actual, expected in zip(rebuilt, (parts.n, parts.m_part, parts.p_part)):
             assert (actual.variance, actual.parity) == ("lower", 1)
             assert actual.allclose(expected, 1e-12)
+
 
 class TestVoigt:
     def test_worked_example(self):

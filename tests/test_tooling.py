@@ -1,6 +1,7 @@
 """The committed formula notes, the oracle's solves of the skew constants and
 the trace weights on more than one metric, the oracle's independence from the
-shipped closed forms and the callables the benchmark's traced runs wrap."""
+shipped closed forms, the callables the benchmark's traced runs wrap, the
+one parity rule of the volume-element layer and the code-line counter."""
 
 import ast
 import importlib.util
