@@ -3,10 +3,10 @@
 Reads a tensor (or Voigt table), runs the requested decomposition, prints a
 text report and optionally writes the JSON document it was rendered from.
 ``--self-check`` runs the built-in verification suite instead: dimension
-ledger, projector families, coefficient solves and matrix/operation
-agreement on seeded random tensors.  ``oracle.self_check`` measures and
-judges every check; the text is rendered from the document it returns, and
-``--json`` writes that same document.
+ledger, projector families, coefficient solves, matrix/operation agreement
+on seeded random tensors and the so3 round trip on the basis tensors.
+``oracle.self_check`` measures and judges every check; the text is rendered
+from the document it returns, and ``--json`` writes that same document.
 
 Exit codes: 0 success, 1 failed self-check, 2 unreadable or malformed input
 or an option out of range, 3 symmetry or variance precondition violation.
@@ -97,6 +97,9 @@ def _render_self_check(check: dict) -> str:
         f"self-check: matrix/operation agreement (seed {check['seed']})",
         "  worst deviation over 100 tensors per operator: "
         + ("not finite" if None in deviations else f"{max(deviations):.2e}"),
+        *(f"self-check: map {name} round trip on the basis tensors, worst deviation "
+          + ("not finite" if worst is None else f"{worst:.2e}") + f"  {status(f'map {name}')}"
+          for name, worst in check["maps"].items()),
         "self-check: " + ("PASS" if not failures else f"FAIL ({', '.join(failures)})"),
     ])
 

@@ -128,13 +128,14 @@ def orthogonality_matrix(parts, metric: Metric = EUCLIDEAN) -> np.ndarray:
         return np.zeros((0, 0))
     if any(t.variance != parts[0].variance for t in parts):
         raise VarianceError("scalar product requires equal variance")
-    return gram(np.array([t.components for t in parts]).reshape(len(parts), 27), metric,
-                parts[0].variance)
+    return gram(np.array([t.components for t in parts]).reshape(len(parts), 27),
+                metric.contraction_matrix(parts[0].variance))
 
 
-def gram(rows: np.ndarray, metric: Metric, variance: str) -> np.ndarray:
-    """Gram matrix of the flattened components in the rows of ``rows``."""
-    result = rows @ metric.contraction_matrix(variance) @ rows.T
+def gram(rows: np.ndarray, contraction: np.ndarray) -> np.ndarray:
+    """Gram matrix of the flattened components in the rows of ``rows``
+    under the 27x27 metric ``contraction``."""
+    result = rows @ contraction @ rows.T
     # the two triangles round differently; their mean is exactly symmetric
     return (result + result.T) / 2.0
 

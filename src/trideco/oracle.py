@@ -17,6 +17,9 @@ symbol; they never reuse the shipped closed forms, so a transcription error
 in a formula cannot hide from them.  Their results are compared with the
 constants the package applies, named in ``SHIPPED_CONSTANTS``.
 
+``so3_round_trip`` judges the so3 representation and its inverse as one
+map: their composition on the basis tensors must be the identity.
+
 ``self_check`` runs all of these checks once and returns one JSON-ready
 document holding every measurement and the names of the checks that fail
 their bounds (``PROJECTOR_TOL``, ``SOLVE_TOL``, ``AGREEMENT_TOL``); the
@@ -40,7 +43,8 @@ RANK_TOL = 1e-9
 #: required ratio between the smallest kept and largest dropped singular value
 RANK_GAP = 1e6
 #: largest idempotence, completeness or pairwise-product defect, in max-abs,
-#: of a verified projector or projector family
+#: of a verified projector or projector family, and largest deviation of a
+#: map's round trip from the identity
 PROJECTOR_TOL = 1e-12
 #: largest distance of a solved coefficient from the shipped one, and largest
 #: residual of the solve
@@ -389,6 +393,17 @@ def agreement(op_name: str, metric: Metric = EUCLIDEAN, seed: int = 0,
     return agreements((op_name,), metric, seed, samples)[op_name]
 
 
+def so3_round_trip(metric: Metric = EUCLIDEAN) -> float:
+    """Max deviation of ``so3.reassemble(so3.so3_representation(e_c))`` from
+    ``e_c`` over the 27 basis tensors ``e_c``: the so3 representation and its
+    inverse judged as one map, which must be the identity.  A deviation that
+    is not finite stays NaN or inf."""
+    basis = np.eye(27).reshape(27, 3, 3, 3)
+    rebuilt = [so3.reassemble(so3.so3_representation(Tensor3(e), metric), metric).components
+               for e in basis]
+    return float(np.max(np.abs(np.array(rebuilt) - basis)))
+
+
 def dimension_report(metric: Metric = EUCLIDEAN) -> list[tuple[str, int, int]]:
     """(name, measured rank, expected rank) for every registered operator."""
     return [
@@ -433,8 +448,11 @@ def self_check(seed: int) -> dict:
     idempotent), ``solves`` each reconstruction solve's rounded
     coefficients and residual, and ``agreement`` each part's worst
     deviation over 100 tensors drawn from ``seed``, null if not finite.
+    ``maps`` holds each map's round-trip deviation from the identity on the
+    basis tensors (``so3``, from ``so3_round_trip``), null if not finite.
     ``failures`` names every check outside its bound (``rank <name>``,
-    ``family <label>``, ``solve <system>``, ``agreement <name>``), in order.
+    ``family <label>``, ``solve <system>``, ``agreement <name>``, ``map
+    <name>``), in order.
     """
     ranks = {name: {"measured": measured, "expected": expected}
              for name, measured, expected in dimension_report()}
@@ -459,10 +477,15 @@ def self_check(seed: int) -> dict:
     worst_by_op = agreements(operator_names(), seed=seed)
     failures += [f"agreement {name}" for name, worst in worst_by_op.items()
                  if not worst <= AGREEMENT_TOL]
+    maps = {"so3": so3_round_trip()}
+    failures += [f"map {name}" for name, worst in maps.items() if not worst <= PROJECTOR_TOL]
     return {"seed": seed, "ranks": ranks, "families": families, "solves": solves,
-            "agreement": {name: worst if np.isfinite(worst) else None
-                          for name, worst in worst_by_op.items()},
+            "agreement": _finite_or_none(worst_by_op), "maps": _finite_or_none(maps),
             "failures": failures}
+
+
+def _finite_or_none(deviations: dict[str, float]) -> dict:
+    return {name: worst if np.isfinite(worst) else None for name, worst in deviations.items()}
 
 
 def formula_notes(metric: Metric = EUCLIDEAN) -> str:

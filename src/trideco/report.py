@@ -6,11 +6,14 @@ keeps in its ``_cache`` after the first report.  The parts and the input's
 own row form one block; its Gram matrix gives every norm and share and is
 checked for finiteness once, and each part's tensor is a read-only view of
 its row.  The Gram matrix is taken of the block scaled by a power of two
-near the input's size, which is exact, so the norms and shares neither
-underflow nor overflow at any scale of the data and the metric; the
-report's ``gram`` is scaled back, and may underflow.  The symmetry class
-reads the four class defects of ``symmetrizers.defects``, relative to the
-input's max-abs component.  The JSON document and the text rendering both
+near the input's size, under the contraction of the metric scaled by a
+power of four near 1 (``Metric.scaled_contraction``).  Both scalings are
+exact, so the norms and shares neither underflow nor overflow at any scale
+of the data and the metric, and are the unscaled arithmetic's wherever that
+does neither; the report's ``gram`` is scaled back, and may underflow.  The
+symmetry class reads the four class defects of ``symmetrizers.defects``,
+relative to the input's max-abs component, which the report reads once for
+the class and the scaling.  The JSON document and the text rendering both
 read the report's own fields, so both carry identical numbers.
 """
 
@@ -88,8 +91,11 @@ def classify_symmetry(t: Tensor3, rel_tol: float = CLASSIFY_REL_TOL) -> str:
     whose defect from ``symmetrizers.defects`` is at most ``rel_tol`` times
     the max-abs component of ``t``.  The zero tensor is fully symmetric.
     """
-    threshold = rel_tol * t.max_abs()
-    found = defects(_CLASSES, t.components)
+    return _symmetry_class(t.components, rel_tol * t.max_abs())
+
+
+def _symmetry_class(x: np.ndarray, threshold: float) -> str:
+    found = defects(_CLASSES, x)
     return next((name for name, defect in zip(_CLASSES, found) if defect <= threshold), "generic")
 
 
@@ -200,22 +206,25 @@ def build_report(
     arrays = parts.apply(_OPERATORS[shape, family], x, metric)
     arrays.setflags(write=False)
     count = len(named)
+    size = max_abs(x)
     # the Gram matrix of the rows scaled by a power of two near the input's
-    # size, which is exact, keeps the norms and shares clear of under- and
+    # size, under the contraction of the metric scaled by a power of four
+    # near 1, both exact, keeps the norms and shares clear of under- and
     # overflow at any scale of the data and the metric
-    _, exponent = math.frexp(max_abs(x))
+    _, exponent = math.frexp(size)
+    shift, contraction = metric.scaled_contraction(t.variance)
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled = o3.gram(np.ldexp(arrays.reshape(count + 1, 27), -exponent), metric, t.variance)
-        gram = np.ldexp(scaled, 2 * exponent)
+        scaled = o3.gram(np.ldexp(arrays.reshape(count + 1, 27), -exponent), contraction)
+        gram = np.ldexp(scaled, 2 * exponent + shift)
     # the contraction is positive definite, so a part that overflowed leaves
     # a non-finite diagonal entry too
     if not np.isfinite(gram).all():
         raise TensorError(
             "report overflows: the Gram matrix of the parts is not finite "
-            f"(max-abs component {max_abs(x):.3e})"
+            f"(max-abs component {size:.3e})"
         )
     scaled_norms = np.sqrt(np.maximum(scaled.diagonal(), 0.0))
-    norms = np.ldexp(scaled_norms, exponent)
+    norms = np.ldexp(scaled_norms, exponent + shift // 2)
     total_sq = scaled_norms[-1] ** 2
     shares = scaled_norms[:-1] ** 2 / total_sq if total_sq > 0 else np.zeros(count)
     entries = tuple(
@@ -229,7 +238,7 @@ def build_report(
         family=family,
         input_summary={
             "norm": float(norms[-1]),
-            "symmetry_class": classify_symmetry(t),
+            "symmetry_class": _symmetry_class(x, CLASSIFY_REL_TOL * size),
             "variance": t.variance,
             "parity": t.parity,
         },

@@ -44,6 +44,10 @@ EPSILON = _build_epsilon()
 #: defining contractions (a hand derivation circulates with -1/2; the solver
 #: value is -1/3, see FORMULA_NOTES.txt)
 RECONSTRUCTION_COEFF = -1.0 / 3.0
+#: ``from_matrix`` weights rebuilding the slots-1,2- and the slots-1,3-symmetric
+#: mixed component from its matrix
+N1_WEIGHTS = (RECONSTRUCTION_COEFF, RECONSTRUCTION_COEFF, 0.0)
+N2_WEIGHTS = (RECONSTRUCTION_COEFF, 0.0, RECONSTRUCTION_COEFF)
 
 #: einsum subscripts contracting two slots of ``x`` with the alternating
 #: symbol, leaving one slot of each: the ``a``, ``b`` and ``c`` matrices
@@ -106,7 +110,21 @@ def pseudo_scalar(t: Tensor3) -> float:
 def pseudo_scalar_of(components: np.ndarray) -> float:
     """``pseudo_scalar`` of raw components; the alternating symbol's entries
     are the same for either variance."""
-    return float(np.einsum("ijk,ijk->", EPSILON, components) / 6.0)
+    return float(pseudo_scalars(components))
+
+
+def pseudo_scalars(x: np.ndarray) -> np.ndarray:
+    """``pseudo_scalar_of`` each tensor of ``x``; leading axes are batch axes."""
+    return np.einsum("ijk,...ijk->...", EPSILON, x) / 6.0
+
+
+def traceless_contractions(x: np.ndarray) -> np.ndarray:
+    """The a, b and c contraction matrices of ``x`` less twice its
+    pseudo-scalar times the identity, the traceless forms of
+    ``epsilon_contractions``, stacked as ``(..., 3, 3, 3)``; leading axes
+    are batch axes."""
+    raw = np.stack([contraction(x, key) for key in _CONTRACTION], axis=-3)
+    return raw - 2.0 * pseudo_scalars(x)[..., None, None, None] * np.eye(3)
 
 
 @dataclass(frozen=True)
@@ -147,11 +165,19 @@ def epsilon_contractions(t: Tensor3) -> Sl3Parts:
     )
 
 
+def require_traceless(mats: np.ndarray, what: str, tol: float, scale: float) -> None:
+    """Raise ``VarianceError`` unless the trace of each mixed matrix in
+    ``mats``, ``(..., 3, 3)``, is within ``tol`` of the larger of its
+    max-abs entry and ``scale``."""
+    traces = np.abs(np.trace(mats, axis1=-2, axis2=-1))
+    if (traces > tol * np.maximum(scale, np.abs(mats).max(axis=(-2, -1)))).any():
+        raise VarianceError(f"{what} expects a traceless matrix")
+
+
 def _require_traceless(mat: Tensor2, what: str, tol: float, scale: float) -> None:
     if mat.variance != "lu":
         raise VarianceError(f"{what} expects a mixed (lower, upper) matrix")
-    if abs(mat.trace()) > tol * max(scale, mat.max_abs()):
-        raise VarianceError(f"{what} expects a traceless matrix")
+    require_traceless(mat.components, what, tol, scale)
 
 
 def reconstruct_n1(b_check: Tensor2, tol: float = 1e-9, *, scale: float = 0.0) -> Tensor3:
@@ -164,16 +190,14 @@ def reconstruct_n1(b_check: Tensor2, tol: float = 1e-9, *, scale: float = 0.0) -
     alone is too small to judge that rounding by.
     """
     _require_traceless(b_check, "reconstruct_n1", tol, scale)
-    c = RECONSTRUCTION_COEFF
-    return rebuild(b_check.components, b_check.parity, (c, c, 0.0))
+    return rebuild(b_check.components, b_check.parity, N1_WEIGHTS)
 
 
 def reconstruct_n2(c_check: Tensor2, tol: float = 1e-9, *, scale: float = 0.0) -> Tensor3:
     """Rebuild the slots-1,3-symmetric mixed component from its matrix;
     ``tol`` and ``scale`` as in ``reconstruct_n1``."""
     _require_traceless(c_check, "reconstruct_n2", tol, scale)
-    c = RECONSTRUCTION_COEFF
-    return rebuild(c_check.components, c_check.parity, (c, 0.0, c))
+    return rebuild(c_check.components, c_check.parity, N2_WEIGHTS)
 
 
 def reconstruct_n(

@@ -12,10 +12,34 @@ other one, since they come from one contraction with the alternating symbol
 (``sl3``): a proper tensor has pseudo-matrices and proper vectors, a
 pseudo-tensor proper matrices and pseudo-vectors.  ``reassemble`` returns
 the parity of the remainder.
+
+Both maps are linear, so each is compiled once per metric into one
+read-only matrix on flattened values, kept in the metric's ``_cache``.  The
+forward matrix is 27x55; its columns are the 55 numbers of a
+representation, in field order: alpha 3, r_part 27, a_scalar 1, e_mat 9,
+beta 3, f_mat 9 and gamma 3.  The reassembly matrix is its 55x27 inverse, and
+their product is the identity to within 1e-15.  ``so3_representation`` is
+one product and a finiteness check; ``reassemble`` is one product, taken in
+two slices so that the traces of the mixed matrices are judged against the
+rest of the tensor as ``sl3.reconstruct_n1`` judges them.
+
+Each map is written once, as array functions with leading batch axes:
+``_split`` lowers the traceless b and c matrices and splits them into
+symmetric halves and vectors, and ``_lowered`` writes a (matrix, vector)
+pair back as the lowered matrix ``sl3`` rebuilds a mixed component from.
+``so3_split``, ``first_component_from`` and ``second_component_from`` apply
+them to one tensor's values; compiling applies them to the 27 basis tensors
+and the 55 unit representations.  The images that read no metric (the
+pseudo-scalars and traceless matrices of the basis tensors, the lowered
+matrices of the unit representations and the mixed components of the unit
+matrices) are computed once per process, so compiling for a new metric
+multiplies them by ``g`` or ``g_inv`` and little else.  Nothing is compiled
+at import.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +70,38 @@ AXIAL_FROM_FIRST_TRACE = 2 * FIRST_SKEW_COEFF
 AXIAL_FROM_SECOND_TRACE = 2 * SECOND_SKEW_COEFF
 
 
+#: the skew coefficients and axial constants of the first and the second
+#: mixed component, shaped to stack the two along the axis before a matrix
+_SKEW_COEFFS = np.array([FIRST_SKEW_COEFF, SECOND_SKEW_COEFF])[:, None, None]
+_AXIAL = np.array([AXIAL_FROM_FIRST_TRACE, AXIAL_FROM_SECOND_TRACE])[:, None]
+
+#: where each field sits among the compiled maps' 55 numbers, in field order:
+#: alpha, r_part, a_scalar, e_mat, beta, f_mat and gamma
+_SPANS = (slice(0, 3), slice(3, 30), slice(30, 31), slice(31, 40), slice(40, 43),
+          slice(43, 52), slice(52, 55))
+#: the numbers of the symmetric part and the pseudo-scalar, and those of the
+#: mixed part
+_REST, _MIXED = slice(0, 31), slice(31, 55)
+#: the two mixed components' matrices and vectors among the 55 numbers
+_MATRICES = np.r_[_SPANS[3], _SPANS[5]].reshape(2, 3, 3)
+_VECTORS = np.r_[_SPANS[4], _SPANS[6]].reshape(2, 3)
+
+
+def _split(checks: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The symmetric halves of the traceless b and c matrices ``checks``,
+    ``(..., 2, 3, 3)``, lowered with ``g``, and the trace vectors
+    ``(..., 2, 3)`` that their skew halves are fixed multiples of."""
+    sym, skew = sl3.halves(checks, g)
+    return sym, sl3.axial(skew) / _AXIAL
+
+
+def _lowered(sym: np.ndarray, coeff, vec: np.ndarray) -> np.ndarray:
+    """The lowered matrix of a mixed component from its symmetric half and
+    trace vector, the skew half written back with ``coeff``; raising its
+    second slot with ``g_inv`` gives the matrix ``sl3`` rebuilds from."""
+    return sym + coeff * sl3.from_axial(vec)
+
+
 @dataclass(frozen=True)
 class So3Parts:
     """Symmetric traceless matrices and vectors of the mixed part; the
@@ -67,13 +123,13 @@ def so3_split(parts: Sl3Parts, metric: Metric = EUCLIDEAN) -> So3Parts:
     """
     matrix_parity = parts.b_check.parity
     vector_parity = (matrix_parity + 1) % 2
-    b_sym, b_skew = sl3.halves(parts.b_check.components, metric.g)
-    c_sym, c_skew = sl3.halves(parts.c_check.components, metric.g)
+    checks = np.stack((parts.b_check.components, parts.c_check.components))
+    (e_mat, f_mat), (beta, gamma) = _split(checks, metric.g)
     return So3Parts(
-        e_mat=Tensor2(b_sym, "ll", matrix_parity),
-        f_mat=Tensor2(c_sym, "ll", matrix_parity),
-        beta_vec=Vector3(sl3.axial(b_skew) / AXIAL_FROM_FIRST_TRACE, "upper", vector_parity),
-        gamma_vec=Vector3(sl3.axial(c_skew) / AXIAL_FROM_SECOND_TRACE, "upper", vector_parity),
+        e_mat=Tensor2(e_mat, "ll", matrix_parity),
+        f_mat=Tensor2(f_mat, "ll", matrix_parity),
+        beta_vec=Vector3(beta, "upper", vector_parity),
+        gamma_vec=Vector3(gamma, "upper", vector_parity),
     )
 
 
@@ -104,56 +160,119 @@ class So3Representation:
                               "and the matrices must have the other")
 
 
+@functools.cache
+def _metric_free() -> tuple[np.ndarray, ...]:
+    """What the compiled maps are built from that no metric changes,
+    computed on first use: the pseudo-scalars and the traceless b and c
+    matrices of the 27 basis tensors, the lowered matrices of the 24 unit
+    mixed-part inputs (e_mat, beta, f_mat and gamma, stacked over the two
+    components), and the first and second mixed components rebuilt from the
+    9 unit matrices, as one 18x27 matrix."""
+    basis = np.eye(27).reshape(27, 3, 3, 3)
+    units = np.eye(9).reshape(9, 3, 3)
+    sym, vec = np.zeros((24, 2, 3, 3)), np.zeros((24, 2, 3))
+    sym[:9, 0], vec[9:12, 0], sym[12:21, 1], vec[21:, 1] = units, np.eye(3), units, np.eye(3)
+    rebuilt = [sl3.from_matrix(units, w).reshape(9, 27) for w in (sl3.N1_WEIGHTS,
+                                                                   sl3.N2_WEIGHTS)]
+    images = (sl3.pseudo_scalars(basis), sl3.traceless_contractions(basis)[:, 1:],
+              _lowered(sym, _SKEW_COEFFS, vec), np.concatenate(rebuilt))
+    for image in images:
+        image.setflags(write=False)
+    return images
+
+
+def _compile_forward(metric: Metric) -> np.ndarray:
+    a_scalars, checks, _, _ = _metric_free()
+    sym, vec = _split(checks, metric.g)
+    return np.concatenate([
+        parts.operator("symmetric_traces", metric)[:, :3],
+        parts.operator("r_part", metric),
+        a_scalars[:, None],
+        sym[:, 0].reshape(27, 9), vec[:, 0], sym[:, 1].reshape(27, 9), vec[:, 1],
+    ], axis=1)
+
+
+def _compile_reassembly(metric: Metric) -> np.ndarray:
+    _, _, lowered, rebuilt = _metric_free()
+    # a fully symmetric tensor has the same trace alpha over every pair
+    pure_traces = parts.from_traces(np.broadcast_to(np.eye(3)[:, None, :], (3, 3, 3)),
+                                    metric.g_inv)
+    mixed = (lowered @ metric.g_inv).reshape(24, 18) @ rebuilt
+    return np.concatenate([pure_traces.reshape(3, 27), np.eye(27), EPSILON.reshape(1, 27),
+                           mixed])
+
+
+def _compiled(key: str, metric: Metric) -> np.ndarray:
+    """The metric's read-only compiled ``"so3 forward"`` or ``"so3
+    reassembly"`` matrix, compiled on first use."""
+    matrix = metric._cache.get(key)
+    if matrix is None:
+        matrix = _COMPILERS[key](metric)
+        matrix.setflags(write=False)
+        # a thread that compiled the same matrix first wins
+        matrix = metric._cache.setdefault(key, matrix)
+    return matrix
+
+
+_COMPILERS = {"so3 forward": _compile_forward, "so3 reassembly": _compile_reassembly}
+
+
 def so3_representation(t: Tensor3, metric: Metric = EUCLIDEAN) -> So3Representation:
-    # the traceless contraction matrices of t are those of its mixed part
-    contractions = sl3.epsilon_contractions(t)
-    split = so3_split(contractions, metric)
-    x = t.components
-    (s_traces,) = parts.apply(("symmetric_traces",), x, metric)
-    (r_part,) = parts.apply(("r_part",), x, metric)
+    if t.variance != "upper":
+        raise VarianceError("so3_representation expects an upper-variance tensor")
+    values = t.components.reshape(27) @ _compiled("so3 forward", metric)
+    if not np.isfinite(values).all():
+        raise TensorError("so3_representation overflows: a field is not finite")
+    values.setflags(write=False)
+    alpha, r_part, a_scalar, e_mat, beta, f_mat, gamma = (values[span] for span in _SPANS)
+    # one contraction with the alternating symbol flips the matrices' parity
+    parity, matrix_parity = t.parity, (t.parity + 1) % 2
     return So3Representation(
-        alpha=Vector3(s_traces[0], "upper", t.parity),
-        r_part=Tensor3(r_part, "upper", t.parity),
-        a_scalar=contractions.a_scalar,
-        e_mat=split.e_mat,
-        beta_vec=split.beta_vec,
-        f_mat=split.f_mat,
-        gamma_vec=split.gamma_vec,
+        alpha=Vector3._trusted(alpha, "upper", parity),
+        r_part=Tensor3._trusted(r_part.reshape(3, 3, 3), "upper", parity),
+        a_scalar=float(a_scalar[0]),
+        e_mat=Tensor2._trusted(e_mat.reshape(3, 3), "ll", matrix_parity),
+        beta_vec=Vector3._trusted(beta, "upper", parity),
+        f_mat=Tensor2._trusted(f_mat.reshape(3, 3), "ll", matrix_parity),
+        gamma_vec=Vector3._trusted(gamma, "upper", parity),
     )
-
-
-def _mixed_matrix(sym_low: Tensor2, skew_coeff: float, vec: Vector3,
-                  metric: Metric) -> Tensor2:
-    low = sym_low.components + skew_coeff * sl3.from_axial(vec.components)
-    return Tensor2(low @ metric.g_inv, "lu", sym_low.parity)
 
 
 def first_component_from(e_mat: Tensor2, beta_vec: Vector3,
                          metric: Metric = EUCLIDEAN, *, scale: float = 0.0) -> Tensor3:
     """Rebuild the slots-1,2-symmetric mixed component from (matrix, vector);
     ``scale`` as in ``sl3.reconstruct_n1``."""
-    mat = _mixed_matrix(e_mat, FIRST_SKEW_COEFF, beta_vec, metric)
-    return sl3.reconstruct_n1(mat, scale=scale)
+    mat = _lowered(e_mat.components, FIRST_SKEW_COEFF, beta_vec.components) @ metric.g_inv
+    return sl3.reconstruct_n1(Tensor2(mat, "lu", e_mat.parity), scale=scale)
 
 
 def second_component_from(f_mat: Tensor2, gamma_vec: Vector3,
                           metric: Metric = EUCLIDEAN, *, scale: float = 0.0) -> Tensor3:
     """Rebuild the slots-1,3-symmetric mixed component from (matrix, vector);
     ``scale`` as in ``sl3.reconstruct_n1``."""
-    mat = _mixed_matrix(f_mat, SECOND_SKEW_COEFF, gamma_vec, metric)
-    return sl3.reconstruct_n2(mat, scale=scale)
+    mat = _lowered(f_mat.components, SECOND_SKEW_COEFF, gamma_vec.components) @ metric.g_inv
+    return sl3.reconstruct_n2(Tensor2(mat, "lu", f_mat.parity), scale=scale)
 
 
 def reassemble(rep: So3Representation, metric: Metric = EUCLIDEAN) -> Tensor3:
-    """Invert ``so3_representation``; exact up to rounding."""
+    """Invert ``so3_representation``; exact up to rounding.
+
+    Each mixed matrix must be traceless against ``g_inv`` as
+    ``sl3.reconstruct_n1`` requires, with the rest of the tensor, its
+    symmetric part and pseudo-scalar, as ``scale``.
+    """
     if rep.r_part.variance != "upper":
         raise VarianceError("reassemble expects an upper-variance r_part")
-    # a fully symmetric tensor has the same trace alpha over every pair
-    k = parts.from_traces(np.broadcast_to(rep.alpha.components, (3, 3)), metric.g_inv)
-    rest = k + rep.r_part.components + rep.a_scalar * EPSILON
+    values = np.concatenate([
+        rep.alpha.components, rep.r_part.components.reshape(27), (rep.a_scalar,),
+        rep.e_mat.components.reshape(9), rep.beta_vec.components,
+        rep.f_mat.components.reshape(9), rep.gamma_vec.components,
+    ])
+    matrix = _compiled("so3 reassembly", metric)
+    rest = values[_REST] @ matrix[_REST]
     # the mixed matrices carry rounding of the whole tensor's size, so their
-    # traces are judged against the rest of it too
-    scale = max_abs(rest)
-    n1 = first_component_from(rep.e_mat, rep.beta_vec, metric, scale=scale)
-    n2 = second_component_from(rep.f_mat, rep.gamma_vec, metric, scale=scale)
-    return Tensor3(rest + n1.components + n2.components, "upper", rep.r_part.parity)
+    # traces are judged against the rest of it too, with reconstruct_n1's tol
+    mats = _lowered(values[_MATRICES], _SKEW_COEFFS, values[_VECTORS]) @ metric.g_inv
+    sl3.require_traceless(mats, "reassemble", 1e-9, max_abs(rest))
+    mixed = values[_MIXED] @ matrix[_MIXED]
+    return Tensor3((rest + mixed).reshape(3, 3, 3), "upper", rep.r_part.parity)

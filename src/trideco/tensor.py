@@ -14,6 +14,7 @@ pick up a ``sign(det R)`` factor under basis change.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,6 +99,17 @@ class _TaggedValue:
         if self.parity not in (0, 1):
             raise TensorError("parity must be 0 or 1")
 
+    @classmethod
+    def _trusted(cls, components: np.ndarray, variance: str, parity: int):
+        """A value over ``components`` as given, with no copy and no check:
+        the caller guarantees a read-only, finite float array of the class's
+        shape and valid tags."""
+        value = object.__new__(cls)
+        object.__setattr__(value, "components", components)
+        object.__setattr__(value, "variance", variance)
+        object.__setattr__(value, "parity", parity)
+        return value
+
     def _compatible(self, other) -> None:
         if type(self) is not type(other):
             raise VarianceError(
@@ -152,17 +164,6 @@ class Tensor3(_TaggedValue):
     _shape, _variances = (3, 3, 3), TENSOR3_VARIANCES
 
     @classmethod
-    def _trusted(cls, components: np.ndarray, variance: str, parity: int) -> "Tensor3":
-        """A tensor over ``components`` as given, with no copy and no check:
-        the caller guarantees a read-only, finite ``(3, 3, 3)`` float array
-        and valid tags."""
-        value = object.__new__(cls)
-        object.__setattr__(value, "components", components)
-        object.__setattr__(value, "variance", variance)
-        object.__setattr__(value, "parity", parity)
-        return value
-
-    @classmethod
     def zeros(cls, variance: str = "upper", parity: int = 0) -> "Tensor3":
         return cls(np.zeros((3, 3, 3)), variance, parity)
 
@@ -209,10 +210,11 @@ class Metric:
     ``g`` must be exactly symmetric as stored.  The inverse is computed once
     and validated against ``g @ g_inv = I`` to within 1e-12 times the
     condition number of ``g``, the ratio of its extreme eigenvalues, which
-    must be at most 1e10.  The
-    27x27 contraction matrix of each variance, and each part operator
-    ``parts.operator`` compiles for this metric, is computed on first use
-    and kept in the instance's ``_cache``.
+    must be at most 1e10.  The 27x27 contraction matrix of each variance,
+    with its power-of-two-scaled form, each part operator
+    ``parts.operator`` compiles and the pair of so3 maps ``so3`` compiles
+    for this metric are computed on first use and kept in the instance's
+    ``_cache``.
     """
 
     g: np.ndarray
@@ -241,11 +243,33 @@ class Metric:
         ones."""
         matrix = self._cache.get(variance)
         if matrix is None:
-            g = self.g if variance == "upper" else self.g_inv
-            matrix = np.einsum("im,jn,kp->ijkmnp", g, g, g).reshape(27, 27)
+            shift, scaled = self.scaled_contraction(variance)
+            matrix = np.ldexp(scaled, shift)
             matrix.setflags(write=False)
             self._cache[variance] = matrix
         return matrix
+
+    def scaled_contraction(self, variance: str) -> tuple[int, np.ndarray]:
+        """``(shift, matrix)``: the contraction of ``variance`` is ``matrix``
+        times ``2**shift``.
+
+        ``matrix`` contracts with ``g`` or ``g_inv`` divided by the even power
+        of two ``4**h`` that brings its max-abs entry into [1/2, 2), and
+        ``shift`` is ``6 h``.  Scaling by a power of two is exact, so the
+        matrix neither under- nor overflows at any scale of the metric, and
+        its entries are exactly the contraction matrix's wherever those do
+        neither.  Kept read-only in the ``_cache``.
+        """
+        key = ("scaled", variance)
+        cached = self._cache.get(key)
+        if cached is None:
+            g = self.g if variance == "upper" else self.g_inv
+            half = math.frexp(max_abs(g))[1] // 2
+            unit = np.ldexp(g, -2 * half)
+            matrix = np.einsum("im,jn,kp->ijkmnp", unit, unit, unit).reshape(27, 27)
+            matrix.setflags(write=False)
+            cached = self._cache.setdefault(key, (6 * half, matrix))
+        return cached
 
 
 EUCLIDEAN = Metric.euclidean()

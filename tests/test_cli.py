@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -11,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trideco import cli, oracle, report, sl3, tensorio
+from trideco import cli, oracle, report, sl3, so3, tensorio
 from trideco.gl3 import FAMILIES
 from trideco.cli import main
 from trideco.constitutive import PiezoTensor
+from trideco.tensor import EUCLIDEAN, Tensor3
 
 from helpers import unit_pair_antisymmetric, unit_pair_symmetric, unit_tensor
 
@@ -295,7 +297,8 @@ class TestSelfCheckDocument:
         path = tmp_path / "check.json"
         assert main(["--self-check", "--seed", "4", "--json", str(path)]) == 0
         check = json.loads(path.read_text())["self_check"]
-        assert list(check) == ["seed", "ranks", "families", "solves", "agreement", "failures"]
+        assert list(check) == ["seed", "ranks", "families", "solves", "agreement", "maps",
+                               "failures"]
         json.dumps(check, allow_nan=False)
         assert capsys.readouterr().out == cli._render_self_check(check) + "\n"
 
@@ -324,6 +327,42 @@ class TestSelfCheckDocument:
         check = json.loads(path.read_text(), parse_constant=_no_constant)["self_check"]
         assert check["failures"] == ["agreement k_part"]
         assert check["agreement"]["k_part"] is None
+
+
+    def test_a_one_sided_defect_in_the_so3_map_fails(self, tmp_path, capsys, monkeypatch):
+        # beta and gamma swapped in the forward map only; the Euclidean
+        # forward matrix compiled before is put back after the test
+        so3.so3_representation(Tensor3.zeros())
+        monkeypatch.delitem(EUCLIDEAN._cache, "so3 forward")
+        split = so3._split
+
+        def swapped(checks, g):
+            sym, vec = split(checks, g)
+            return sym, vec[..., ::-1, :]
+
+        monkeypatch.setattr(so3, "_split", swapped)
+        path = tmp_path / "check.json"
+        assert main(["--self-check", "--json", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "map so3 round trip on the basis tensors" in out
+        assert out.splitlines()[-1] == "self-check: FAIL (map so3)"
+        check = json.loads(path.read_text())["self_check"]
+        assert check["failures"] == ["map so3"]
+        assert check["maps"]["so3"] > oracle.PROJECTOR_TOL
+
+
+def test_importing_the_package_compiles_nothing():
+    # start-up of every CLI process pays for what import compiles, so every
+    # operator, contraction and so3 map is compiled on first use
+    code = ("import trideco, trideco.cli\n"
+            "from trideco import parts, so3\n"
+            "print(len(trideco.EUCLIDEAN._cache), sorted(parts._FREE_OPERATORS), "
+            "so3._metric_free.cache_info().currsize)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.split("\n")[0] == "0 ['identity'] 0"
 
 
 def test_console_entry_point_runs(tmp_path):

@@ -7,7 +7,7 @@ power 3/2 of the factor and leaves the shares alone."""
 import dataclasses
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from trideco import constitutive, gl3, o3, report, so3
@@ -105,19 +105,27 @@ def test_scaling_the_input_scales_every_result(seed, exponent, negative, metric_
 @given(
     seed=st.integers(0, 2**32 - 1),
     exponent=st.integers(-150, 150),
-    k=st.integers(0, 50),
+    k=st.integers(-100, 100),
     metric_name=st.sampled_from(sorted(METRICS)),
 )
 # data at 1e-100 under 1e-50 * I once reported every norm and share as 0, and
 # data at 1e-150 under 1e-6 * I shares summing to 0.9999955
 @example(seed=0, exponent=-100, k=50, metric_name="euclid")
 @example(seed=0, exponent=-150, k=6, metric_name="euclid")
+# unit data under 1e-110 * I once reported every norm and share as 0, and
+# data at 1e-100 under 1e110 * I overflowed the contraction for norms near 1e65
+@example(seed=0, exponent=0, k=110, metric_name="euclid")
+@example(seed=0, exponent=-100, k=-110, metric_name="euclid")
 def test_scaling_the_metric_scales_every_norm(seed, exponent, k, metric_name):
     # A metric c * g scales the contraction of upper indices by c**3 and that
     # of lower ones, which Hall tensors carry, by c**-3, so every norm by the
-    # power 3/2 of the factor and no share at all.  The metric shrinks for
-    # upper variance and grows for Hall, so the Gram matrix at absolute scale
-    # underflows where the data are small.
+    # power 3/2 of the factor and no share at all.  A positive k shrinks the
+    # metric for upper variance and grows it for Hall; either way the norms
+    # scale by about 10**(exponent - 1.5 k).  The contraction at absolute
+    # scale under- or overflows at metrics far from 1 even where the norms
+    # are representable.  The report's Gram matrix, the squared norms, must
+    # stay finite, which bounds the norms near 1e150.
+    assume(exponent - 1.5 * k <= 150)
     base_metric = METRICS[metric_name]
     x = np.random.default_rng(seed).uniform(-1.0, 1.0, (3, 3, 3)) * 10.0**exponent
     for level, mode, family in REPORTS:
