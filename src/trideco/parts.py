@@ -7,31 +7,33 @@ traceless rest as ``r_part = symmetric - k_part``, the residue as
 ``x - s - a``, and so on down the hierarchy.  ``evaluate(names, x,
 metric)`` computes any list of parts of one ``x`` through a dictionary kept
 for that call, so each part on the way, named or refined, is computed once;
-``Part.form(x, metric)`` is the same evaluation for one part.  ``x`` holds
+this walk, ``_value``, is the only code that runs the rules.  ``x`` holds
 components of shape ``(..., 3, 3, 3)``; leading axes are a batch.  Each
 part is linear in ``x``, takes the metric verbatim and is a new array of
 the same shape, except ``identity``, which is ``x`` itself, and the parts
 that equal another part, which are that part's array.
 
-One table serves every reader, through one compiled matrix per part.  Each
-part is linear and depends only on the metric, so ``operator(name,
-metric)`` runs the rule walk once on the 27 stacked basis tensors and keeps
-the part's read-only 27x27 matrix (27x9 for a ``<name>_traces`` entry) in
-the metric's ``_cache``; the parts that read no metric are compiled once
-per process and seed every metric's walk.  The library readers apply these
-matrices: the reports and the public decompositions of ``gl3``, ``o3``,
-``so3`` and ``constitutive`` each get their parts from ``apply(names, x,
-metric)``, one product of ``x`` with the named matrices stacked, so a
-report and a public call compute a part with the same arithmetic.  The
-rule walk itself runs in the compile step, in ``evaluate`` and
-``Part.form``: the oracle's ``materialize`` returns the compiled matrix,
-and its ``agreements`` checks those matrices against the walk run on one
-drawn tensor at a time, where one ``evaluate`` of every part serves all of
-them.  A public function handed a part already split
-(``o3.s_trace_split`` and its siblings) applies the trace kernels below to
-it.  The oracle's least-squares solves never evaluate the rules: they apply
-the kernels ``symmetric``, ``antisymmetric``, ``residue`` and ``mixed``,
-which read no table, to the 27 stacked basis tensors.
+One table serves every reader, through compiled matrices.  Each part is
+linear and depends only on the metric, so ``basis_images(names, metric)``
+runs the walk once on the 27 stacked basis tensors and reads each named
+part's 27x27 matrix (27x9 for a ``<name>_traces`` entry) off the result.
+The walk starts from the basis images of the rules that read no metric,
+which are computed once per process, so a new metric runs only the rules
+that read it.  The library readers apply these matrices: the reports and
+the public decompositions of ``gl3``, ``o3``, ``so3`` and ``constitutive``
+each get their parts from ``apply(names, x, metric)``, one product of
+``x`` with the stack of the named matrices, which the metric compiles once
+and keeps read-only; so a report and a public call compute a part with the
+same arithmetic, and the stacks are all a metric keeps of the matrices.
+``operator(name, metric)`` is the matrix kept for ``(name,)``.  The
+oracle's ``materialize`` returns it, and its ``agreements`` checks those
+matrices against the walk run on one drawn tensor at a time, where one
+``evaluate`` of every part serves all of them.  A public function handed a
+part already split (``o3.s_trace_split`` and its siblings) applies the
+trace kernels below to it.  The oracle's least-squares solves never
+evaluate the rules: they apply the kernels ``symmetric``,
+``antisymmetric``, ``residue`` and ``mixed``, which read no table, to the
+27 stacked basis tensors.
 
 Every trace part is one projection.  A pure-trace tensor holds a vector in
 one slot and the inverse metric on the other two; ``traces(x, m)`` stacks
@@ -56,6 +58,7 @@ metric and their pure-trace pieces are built from the metric itself.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -159,10 +162,6 @@ class Part(NamedTuple):
     refines: tuple[str, ...]
     rule: Callable[..., np.ndarray]
 
-    def form(self, x: np.ndarray, metric: Metric) -> np.ndarray:
-        """The part of ``x``: its rule on the parts it refines."""
-        return self.rule(*evaluate(self.refines, x, metric), metric)
-
 
 #: every part by name, in ledger order
 PARTS: dict[str, Part] = {
@@ -253,10 +252,26 @@ _METRIC_FREE = frozenset(name for name in _RULES if not _reads_metric(name))
 #: the value of each rule on one tensor: traces or components
 _SHAPES = {name: (3, 3) if name.endswith("_traces") else (3, 3, 3) for name in _RULES}
 
-#: the operators of the parts in ``_METRIC_FREE``, compiled once per process
-#: on first use; the identity seeds every walk on the 27 basis tensors
-_FREE_OPERATORS: dict[str, np.ndarray] = {"identity": np.eye(27)}
-_FREE_OPERATORS["identity"].setflags(write=False)
+
+@functools.cache
+def _free_images() -> dict[str, np.ndarray]:
+    """The read-only images of the 27 basis tensors under each rule in
+    ``_METRIC_FREE``, computed once per process on first use; every compile
+    walk starts from a copy."""
+    values = {"identity": np.eye(27).reshape(27, 3, 3, 3)}
+    for name in _METRIC_FREE:
+        _value(name, values, None).setflags(write=False)
+    return values
+
+
+def basis_images(names, metric: Metric) -> list[np.ndarray]:
+    """The named rules' matrices on flattened components, from one walk
+    over the 27 stacked basis tensors: row ``c`` of each is the rule's value
+    on basis tensor ``c``, flattened.  The walk starts from the images of
+    ``_free_images``, so it runs only the rules that read the metric, each
+    once."""
+    values = dict(_free_images())
+    return [_value(name, values, metric).reshape(27, -1) for name in names]
 
 
 def operator(name: str, metric: Metric) -> np.ndarray:
@@ -265,25 +280,21 @@ def operator(name: str, metric: Metric) -> np.ndarray:
 
     ``x.reshape(27) @ operator(name, metric)`` is the part of ``x``,
     flattened; row ``c`` is the part of basis tensor ``c``.  The matrix is
-    27x27, or 27x9 for a ``<name>_traces`` entry.  The first call for a
-    metric runs the part's rule on the 27 stacked basis tensors, reading
-    the parts it refines through this same function, and keeps the matrix
-    in the metric's ``_cache``; so each rule runs once per metric, and the
-    parts in ``_METRIC_FREE`` once per process.
+    27x27, or 27x9 for a ``<name>_traces`` entry; it is what ``apply``
+    keeps for ``(name,)``.
     """
-    cache = _FREE_OPERATORS if name in _METRIC_FREE else metric._cache
-    matrix = cache.get(name)
-    if matrix is None:
-        part = _RULES[name]
-        images = part.rule(
-            *[operator(n, metric).reshape((27,) + _SHAPES[n]) for n in part.refines], metric
-        )
-        matrix = images.reshape(27, -1)
-        matrix.setflags(write=False)
-        # a thread that compiled the same matrix first wins, so every caller
-        # gets one object
-        matrix = cache.setdefault(name, matrix)
-    return matrix
+    return _stack((name,), metric)
+
+
+def _stack(names: tuple[str, ...], metric: Metric) -> np.ndarray:
+    def build():
+        matrices = basis_images(names, metric)
+        # one name keeps the walk's own array: a copy would change its memory
+        # layout (the trace parts come out column-major), and with it how
+        # BLAS rounds the oracle's products with it
+        return matrices[0] if len(names) == 1 else np.array(matrices)
+
+    return metric.compiled(names, build)
 
 
 def apply(names: tuple[str, ...], x: np.ndarray, metric: Metric) -> np.ndarray:
@@ -292,11 +303,8 @@ def apply(names: tuple[str, ...], x: np.ndarray, metric: Metric) -> np.ndarray:
 
     Entry ``i`` is ``x.reshape(27) @ operator(names[i], metric)``, shaped as
     the rule of ``names[i]`` returns it.  The named operators must have one
-    width; their stack is kept in the metric's ``_cache`` under ``names``.
+    width; their stack, compiled by one walk of ``basis_images``, is kept
+    by the metric under ``names``.
     """
-    stack = metric._cache.get(names)
-    if stack is None:
-        stack = np.array([operator(name, metric) for name in names])
-        stack.setflags(write=False)
-        stack = metric._cache.setdefault(names, stack)
+    stack = _stack(names, metric)
     return np.matmul(x.reshape(27), stack).reshape((len(names),) + _SHAPES[names[0]])

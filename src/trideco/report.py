@@ -1,9 +1,9 @@
 """Decomposition reports: symmetry classification, part norms, Gram matrices.
 
 A report is one product: ``parts.apply`` multiplies the input by the
-compiled operators of its parts and of the identity, which the metric
-keeps in its ``_cache`` after the first report.  The parts and the input's
-own row form one block; its Gram matrix gives every norm and share and is
+stacked compiled operators of its parts and of the identity, which the
+metric compiles on the first report and keeps (``Metric.compiled``).  The
+parts and the input's own row form one block; its Gram matrix gives every norm and share and is
 checked for finiteness once, and each part's tensor is a read-only view of
 its row.  The Gram matrix is taken of the block scaled by a power of two
 near the input's size, under the contraction of the metric scaled by a
@@ -183,7 +183,10 @@ def build_report(
     plain-family branch splits; at the ``gl3`` level a family is required
     only when the mixed-part split is requested.  The piezo and hall modes
     repair or reject ``t`` as ``PiezoTensor`` and ``HallTensor`` do and
-    report at the ``o3`` level.
+    report at the ``o3`` level.  A family that is not one of
+    ``gl3.FAMILIES`` raises ``ValueError`` at every level and in every mode;
+    a known one is ignored outside ``gl3``, where the so3 report is always
+    the ``plain`` family's.
     """
     if mode == "piezo":
         t = (t if isinstance(t, PiezoTensor) else PiezoTensor(t)).tensor
@@ -195,7 +198,7 @@ def build_report(
         raise VarianceError("generic decomposition expects an upper-variance tensor")
     elif level not in LEVELS:
         raise ValueError(f"unknown level {level!r}")
-    elif level == "gl3" and family is not None:
+    if family is not None:
         gl3.check_family(family)
 
     shape = level if mode == "generic" else mode

@@ -14,14 +14,15 @@ pseudo-tensor proper matrices and pseudo-vectors.  ``reassemble`` returns
 the parity of the remainder.
 
 Both maps are linear, so each is compiled once per metric into one
-read-only matrix on flattened values, kept in the metric's ``_cache``.  The
-forward matrix is 27x55; its columns are the 55 numbers of a
-representation, in field order: alpha 3, r_part 27, a_scalar 1, e_mat 9,
-beta 3, f_mat 9 and gamma 3.  The reassembly matrix is its 55x27 inverse, and
-their product is the identity to within 1e-15.  ``so3_representation`` is
-one product and a finiteness check; ``reassemble`` is one product, taken in
-two slices so that the traces of the mixed matrices are judged against the
-rest of the tensor as ``sl3.reconstruct_n1`` judges them.
+read-only matrix on flattened values, kept by ``Metric.compiled`` under
+``"so3 forward"`` and ``"so3 reassembly"``.  The forward matrix is 27x55;
+its columns are the 55 numbers of a representation, in field order: alpha
+3, r_part 27, a_scalar 1, e_mat 9, beta 3, f_mat 9 and gamma 3.  The
+reassembly matrix is its 55x27 inverse, and their product is the identity
+to within 1e-15.  ``so3_representation`` is one product and a finiteness
+check; ``reassemble`` is one product, taken in two slices so that the
+traces of the mixed matrices are judged against the rest of the tensor as
+``sl3.reconstruct_n1`` judges them.
 
 Each map is written once, as array functions with leading batch axes:
 ``_split`` lowers the traceless b and c matrices and splits them into
@@ -33,8 +34,9 @@ and the 55 unit representations.  The images that read no metric (the
 pseudo-scalars and traceless matrices of the basis tensors, the lowered
 matrices of the unit representations and the mixed components of the unit
 matrices) are computed once per process, so compiling for a new metric
-multiplies them by ``g`` or ``g_inv`` and little else.  Nothing is compiled
-at import.
+multiplies them by ``g`` or ``g_inv`` and takes the trace vector and the
+traceless remainder from one ``parts.basis_images`` walk.  Nothing is
+compiled at import.
 """
 
 from __future__ import annotations
@@ -184,9 +186,10 @@ def _metric_free() -> tuple[np.ndarray, ...]:
 def _compile_forward(metric: Metric) -> np.ndarray:
     a_scalars, checks, _, _ = _metric_free()
     sym, vec = _split(checks, metric.g)
+    s_traces, r_part = parts.basis_images(("symmetric_traces", "r_part"), metric)
     return np.concatenate([
-        parts.operator("symmetric_traces", metric)[:, :3],
-        parts.operator("r_part", metric),
+        s_traces[:, :3],
+        r_part,
         a_scalars[:, None],
         sym[:, 0].reshape(27, 9), vec[:, 0], sym[:, 1].reshape(27, 9), vec[:, 1],
     ], axis=1)
@@ -202,25 +205,11 @@ def _compile_reassembly(metric: Metric) -> np.ndarray:
                            mixed])
 
 
-def _compiled(key: str, metric: Metric) -> np.ndarray:
-    """The metric's read-only compiled ``"so3 forward"`` or ``"so3
-    reassembly"`` matrix, compiled on first use."""
-    matrix = metric._cache.get(key)
-    if matrix is None:
-        matrix = _COMPILERS[key](metric)
-        matrix.setflags(write=False)
-        # a thread that compiled the same matrix first wins
-        matrix = metric._cache.setdefault(key, matrix)
-    return matrix
-
-
-_COMPILERS = {"so3 forward": _compile_forward, "so3 reassembly": _compile_reassembly}
-
-
 def so3_representation(t: Tensor3, metric: Metric = EUCLIDEAN) -> So3Representation:
     if t.variance != "upper":
         raise VarianceError("so3_representation expects an upper-variance tensor")
-    values = t.components.reshape(27) @ _compiled("so3 forward", metric)
+    forward = metric.compiled("so3 forward", lambda: _compile_forward(metric))
+    values = t.components.reshape(27) @ forward
     if not np.isfinite(values).all():
         raise TensorError("so3_representation overflows: a field is not finite")
     values.setflags(write=False)
@@ -268,7 +257,7 @@ def reassemble(rep: So3Representation, metric: Metric = EUCLIDEAN) -> Tensor3:
         rep.e_mat.components.reshape(9), rep.beta_vec.components,
         rep.f_mat.components.reshape(9), rep.gamma_vec.components,
     ])
-    matrix = _compiled("so3 reassembly", metric)
+    matrix = metric.compiled("so3 reassembly", lambda: _compile_reassembly(metric))
     rest = values[_REST] @ matrix[_REST]
     # the mixed matrices carry rounding of the whole tensor's size, so their
     # traces are judged against the rest of it too, with reconstruct_n1's tol

@@ -12,6 +12,7 @@ far one tensor is from each named symmetry.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,9 +166,14 @@ SYMMETRIES: dict[str, tuple[GroupAlgebraElement, ...]] = {
     "mixed": (FULL_SYMMETRIZER * (1.0 / 6.0), FULL_ANTISYMMETRIZER * (1.0 / 6.0)),
 }
 
-#: per tuple of names: the stacked coefficients of their elements, and the
-#: first row of each name
-_DEFECT_STACKS: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray]] = {}
+
+@functools.cache
+def _defect_stack(names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked coefficients of the named symmetries' elements and the
+    first row of each name, computed once per process."""
+    elements = [SYMMETRIES[name] for name in names]
+    starts = np.cumsum([0] + [len(e) for e in elements[:-1]])
+    return np.array([e._array for each in elements for e in each]), starts
 
 
 def defects(names: tuple[str, ...], x: np.ndarray) -> list[float]:
@@ -177,13 +183,7 @@ def defects(names: tuple[str, ...], x: np.ndarray) -> list[float]:
 
     ``x`` is gathered once; the stack of coefficients is kept per ``names``.
     """
-    stack = _DEFECT_STACKS.get(names)
-    if stack is None:
-        elements = [SYMMETRIES[name] for name in names]
-        starts = np.cumsum([0] + [len(e) for e in elements[:-1]])
-        stack = (np.array([e._array for each in elements for e in each]), starts)
-        stack = _DEFECT_STACKS.setdefault(names, stack)
-    coefficients, starts = stack
+    coefficients, starts = _defect_stack(names)
     images = coefficients @ x.reshape(27)[_SLOT_ACTION]
     return np.maximum.reduceat(np.abs(images).max(axis=1), starts).tolist()
 

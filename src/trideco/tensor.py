@@ -210,11 +210,11 @@ class Metric:
     ``g`` must be exactly symmetric as stored.  The inverse is computed once
     and validated against ``g @ g_inv = I`` to within 1e-12 times the
     condition number of ``g``, the ratio of its extreme eigenvalues, which
-    must be at most 1e10.  The 27x27 contraction matrix of each variance,
-    with its power-of-two-scaled form, each part operator
-    ``parts.operator`` compiles and the pair of so3 maps ``so3`` compiles
-    for this metric are computed on first use and kept in the instance's
-    ``_cache``.
+    must be at most 1e10.  Every matrix compiled for this metric, the 27x27
+    contraction matrix of each variance with its power-of-two-scaled form,
+    the operator stacks of ``parts.apply`` and the pair of so3 maps, is
+    computed on first use and kept in the instance's ``_cache``, which only
+    ``compiled`` reads or writes.
     """
 
     g: np.ndarray
@@ -237,17 +237,31 @@ class Metric:
     def euclidean(cls) -> "Metric":
         return cls(np.eye(3))
 
+    def compiled(self, key, build):
+        """The value kept under ``key`` for this metric, built on first use.
+
+        On a miss ``build()`` computes the value; an ndarray is made
+        read-only.  A caller that stored the same key first wins, so every
+        caller gets one object.
+        """
+        value = self._cache.get(key)
+        if value is None:
+            value = build()
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            value = self._cache.setdefault(key, value)
+        return value
+
     def contraction_matrix(self, variance: str) -> np.ndarray:
         """The three-slot metric contraction as a read-only 27x27 matrix on
         flattened components: ``g`` contracts upper indices, ``g_inv`` lower
         ones."""
-        matrix = self._cache.get(variance)
-        if matrix is None:
+
+        def build():
             shift, scaled = self.scaled_contraction(variance)
-            matrix = np.ldexp(scaled, shift)
-            matrix.setflags(write=False)
-            self._cache[variance] = matrix
-        return matrix
+            return np.ldexp(scaled, shift)
+
+        return self.compiled(variance, build)
 
     def scaled_contraction(self, variance: str) -> tuple[int, np.ndarray]:
         """``(shift, matrix)``: the contraction of ``variance`` is ``matrix``
@@ -260,17 +274,16 @@ class Metric:
         its entries are exactly the contraction matrix's wherever those do
         neither.  Kept read-only in the ``_cache``.
         """
-        key = ("scaled", variance)
-        cached = self._cache.get(key)
-        if cached is None:
+
+        def build():
             g = self.g if variance == "upper" else self.g_inv
             half = math.frexp(max_abs(g))[1] // 2
             unit = np.ldexp(g, -2 * half)
             matrix = np.einsum("im,jn,kp->ijkmnp", unit, unit, unit).reshape(27, 27)
             matrix.setflags(write=False)
-            cached = self._cache.setdefault(key, (6 * half, matrix))
-        return cached
+            return 6 * half, matrix
 
+        return self.compiled(("scaled", variance), build)
 
 EUCLIDEAN = Metric.euclidean()
 

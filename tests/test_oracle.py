@@ -217,15 +217,15 @@ class TestAgreement:
     @pytest.mark.parametrize("seed", [0, 12345])
     @pytest.mark.parametrize("metric", METRICS, ids=METRIC_IDS)
     def test_one_walk_per_tensor_matches_a_walk_per_part(self, metric, seed):
-        # the reference: each part's own form on each drawn tensor
+        # the reference: a walk of each part alone on each drawn tensor
         arrays = np.random.default_rng(seed).uniform(-1.0, 1.0, (100, 3, 3, 3))
         expected = {}
         for name in oracle.operator_names():
             matrix = oracle.materialize(name, metric).matrix
             images = (arrays.reshape(100, 27) @ matrix.T).reshape(100, 3, 3, 3)
-            form = parts.PARTS[name].form
-            expected[name] = max(float(np.max(np.abs(image - form(arr, metric))))
-                                 for arr, image in zip(arrays, images))
+            expected[name] = max(
+                float(np.max(np.abs(image - parts.evaluate((name,), arr, metric)[0])))
+                for arr, image in zip(arrays, images))
         assert oracle.agreements(oracle.operator_names(), metric, seed) == expected
 
     def test_a_deviation_that_is_not_finite_stays_failed(self, monkeypatch):

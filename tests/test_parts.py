@@ -1,4 +1,4 @@
-"""The shared evaluation of the part table against its single-part forms, the
+"""The shared evaluation of the part table against its single-part walks, the
 compiled operators every library reader applies, the trace projection every
 trace part goes through, and how often each public call contracts traces."""
 
@@ -36,7 +36,7 @@ def test_shared_evaluation_matches_each_form_bit_for_bit(rng, metric):
     assert len(names) == 28
     for name, value in zip(names, parts.evaluate(names, x, metric)):
         assert value.shape == x.shape
-        assert np.array_equal(value, PARTS[name].form(x, metric)), name
+        assert np.array_equal(value, parts.evaluate((name,), x, metric)[0]), name
 
 
 def test_evaluation_leaves_no_reference_cycle(rng):
@@ -136,10 +136,10 @@ def test_each_public_call_contracts_each_trace_once(rng, monkeypatch):
 
 
 def test_compiling_runs_each_rule_once(monkeypatch):
-    # a fresh process cache and a fresh metric: every rule but the seeded
-    # identity runs once; a second metric runs only the rules that read one
-    identity = parts.operator("identity", EUCLIDEAN)
-    monkeypatch.setattr(parts, "_FREE_OPERATORS", {"identity": identity})
+    # a fresh process seed: compiling for a first metric runs every rule but
+    # the identity once, the metric-free ones to build the seed; a second
+    # metric runs only the rules that read one; compiling one stack runs
+    # each rule it needs once
     runs = {name: 0 for name in parts._RULES}
     for name, part in parts._RULES.items():
 
@@ -148,12 +148,22 @@ def test_compiling_runs_each_rule_once(monkeypatch):
             return rule(*args)
 
         monkeypatch.setitem(parts._RULES, name, part._replace(rule=counted))
-    for metric in (_random_spd_metric(1), _random_spd_metric(2)):
-        for name in parts._RULES:
-            parts.operator(name, metric)
-    assert runs == {
-        name: (name != "identity") + (name not in parts._METRIC_FREE) for name in parts._RULES
-    }
+    parts._free_images.cache_clear()
+    try:
+        for metric in (_random_spd_metric(1), _random_spd_metric(2)):
+            parts.basis_images(tuple(parts._RULES), metric)
+        assert runs == {
+            name: (name != "identity") + (name not in parts._METRIC_FREE)
+            for name in parts._RULES
+        }
+        before = dict(runs)
+        parts.apply(("k_part", "m_part", "p_part"), np.zeros((3, 3, 3)), _random_spd_metric(3))
+        assert {name: runs[name] - before[name] for name in runs if runs[name] != before[name]} \
+            == dict.fromkeys(("symmetric_traces", "k_part", "residue_traces", "m_part", "p_part"),
+                             1)
+    finally:
+        # the seed's images came from the counted rules
+        parts._free_images.cache_clear()
     assert sorted(parts._METRIC_FREE) == sorted(
         ["identity", "symmetric", "antisymmetric", "residue", "pair_symmetric",
          "pair_antisymmetric", "piezo_s", "piezo_n", "hall_a", "hall_n"]
@@ -163,18 +173,17 @@ def test_compiling_runs_each_rule_once(monkeypatch):
 
 def test_operators_are_read_only_and_kept_per_metric():
     first, second = _random_spd_metric(4), _random_spd_metric(4)
-    for name, part in parts._RULES.items():
+    for name in parts._RULES:
         matrix = parts.operator(name, first)
         assert matrix.shape == ((27, 9) if name.endswith("_traces") else (27, 27))
         assert not matrix.flags.writeable
         assert parts.operator(name, first) is matrix
-        other = parts.operator(name, second)
-        assert np.array_equal(other, matrix)
-        # a fresh metric builds its own matrix; the metric-free ones are shared
-        assert (other is matrix) == (name in parts._METRIC_FREE)
+        # each metric keeps its own stacks, the same matrices for equal metrics
+        assert np.array_equal(parts.operator(name, second), matrix)
     stack = parts.apply(("k_part", "r_part"), np.zeros((3, 3, 3)), first)
     assert stack.shape == (2, 3, 3, 3)
     assert not first._cache["k_part", "r_part"].flags.writeable
+    assert parts._stack(("k_part", "r_part"), first) is first._cache["k_part", "r_part"]
 
 
 def _compiled_and_walked(x, metric):

@@ -143,6 +143,20 @@ class TestBuildReport:
         with pytest.raises(ValueError):
             report.build_report(unit_tensor(rng), mode="magnetic")
 
+    @pytest.mark.parametrize("mode", report.MODES)
+    @pytest.mark.parametrize("level", report.LEVELS)
+    def test_an_unknown_family_is_rejected_at_every_level(self, rng, level, mode):
+        t = _INPUTS.get(mode, unit_tensor)(rng)
+        with pytest.raises(ValueError, match="unknown family"):
+            report.build_report(t, level, family="bogus", mode=mode)
+        # a known family is ignored outside gl3, and so3 reports the plain one
+        result = report.build_report(t, level, family="tilde", mode=mode)
+        if (level, mode) == ("gl3", "generic"):
+            assert result.family == "tilde"
+        else:
+            assert result.to_dict() == report.build_report(t, level, mode=mode).to_dict()
+            assert result.family == ("plain" if (level, mode) == ("so3", "generic") else None)
+
     def test_text_rendering_mentions_nonorthogonality(self, rng):
         # the flag is relative to the largest Gram diagonal, so it holds at any scale
         for scale in (1.0, 1e8, 1e-150):
@@ -161,11 +175,14 @@ _INPUTS = {"piezo": unit_pair_symmetric, "hall": unit_pair_antisymmetric}
     [("gl3", 2), ("o3", 2), ("sl3", 2), ("so3", 4), ("piezo", 1), ("hall", 1)],
 )
 def test_each_projection_is_evaluated_once(monkeypatch, rng, level, gathers):
-    # compiling the report's operators gathers s and a at the generic levels,
-    # plus the two plain mixed components at so3, once each; the piezo slice
-    # keeps only s and the Hall slice only a.  The symmetry class gathers the
-    # input itself, through no group algebra element.  Once compiled, the
-    # report is one product and gathers nothing.
+    # the first report of a process builds the seed of every compile walk,
+    # the basis images of all the metric-free rules, whatever the shape:
+    # that gathers s, a and the six family members, 8 projections, once
+    # each.  The symmetry class gathers the input itself, through no group
+    # algebra element.  Once compiled, the report is one product and gathers
+    # nothing.  The report's own parts refine ``gathers`` of the 8: s and a
+    # at the generic levels, plus the two plain mixed components at so3; the
+    # piezo slice keeps only s and the Hall slice only a.
     calls = []
     gather = GroupAlgebraElement.on_components
 
@@ -175,16 +192,18 @@ def test_each_projection_is_evaluated_once(monkeypatch, rng, level, gathers):
 
     t = _INPUTS.get(level, unit_tensor)(rng)
     mode = level if level in _INPUTS else "generic"
-    level = "o3" if level in _INPUTS else level
-    identity = parts.operator("identity", EUCLIDEAN)
-    monkeypatch.setattr(parts, "_FREE_OPERATORS", {"identity": identity})
+    shape, level = level, "o3" if level in _INPUTS else level
+    parts._free_images.cache_clear()
     monkeypatch.setattr(GroupAlgebraElement, "on_components", counted)
     metric = Metric(np.eye(3))
     report.build_report(t, level, mode=mode, metric=metric)
-    assert len(calls) == gathers
+    assert len(calls) == len(set(calls)) == 8
     calls.clear()
     report.build_report(t, level, mode=mode, metric=metric)
     assert len(calls) == 0
+    names = report._OPERATORS[shape, "plain" if shape == "so3" else None]
+    parts.evaluate(names, t.components, metric)
+    assert len(calls) == gathers
 
 
 def _public_parts(t, level, family, mode, metric):

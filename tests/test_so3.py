@@ -278,11 +278,12 @@ class TestCompiledMaps:
     @pytest.mark.parametrize("metric", [EUCLIDEAN, DIAG_METRIC, SPD_METRIC],
                              ids=["euclid", "diag211", "spd"])
     def test_reassembly_inverts_the_forward_matrix(self, metric):
-        forward = so3._compiled("so3 forward", metric)
-        reassembly = so3._compiled("so3 reassembly", metric)
+        so3.reassemble(so3.so3_representation(Tensor3.zeros(), metric), metric)
+        forward, reassembly = metric._cache["so3 forward"], metric._cache["so3 reassembly"]
         assert forward.shape == (27, 55) and reassembly.shape == (55, 27)
         assert not forward.flags.writeable and not reassembly.flags.writeable
-        assert so3._compiled("so3 forward", metric) is forward
+        so3.so3_representation(Tensor3.zeros(), metric)
+        assert metric._cache["so3 forward"] is forward
         assert np.abs(forward @ reassembly - np.eye(27)).max() <= 1e-15
 
     def test_a_warm_round_trip_contracts_nothing(self, rng, monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from trideco import parts, so3
 from trideco.permutations import S3, Perm
 from trideco.tensor import (
     EUCLIDEAN,
@@ -112,6 +113,39 @@ class TestScalarProduct:
         lhs = scalar_product(permute(a, sigma), b)
         rhs = scalar_product(a, permute(b, sigma.inverse()))
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+class TestCompiled:
+    def test_the_first_value_stored_wins(self):
+        # a caller that stores the key while this one builds wins: the value
+        # built here is dropped, so every caller gets one object
+        metric = Metric(np.diag([2.0, 1.0, 1.0]))
+        inner = np.zeros(3)
+
+        def build():
+            assert metric.compiled("key", lambda: inner) is inner
+            return np.ones(3)
+
+        assert metric.compiled("key", build) is inner
+        assert not inner.flags.writeable
+        assert metric.compiled("key", lambda: pytest.fail("built twice")) is inner
+
+    def test_each_compiled_matrix_is_one_read_only_object(self):
+        metric = Metric(np.diag([2.0, 1.0, 1.0]))
+        t = Tensor3.zeros()
+        calls = {
+            "upper": lambda: metric.contraction_matrix("upper"),
+            ("k_part", "r_part"): lambda: parts.apply(("k_part", "r_part"), t.components, metric),
+            "so3 forward": lambda: so3.so3_representation(t, metric),
+            "so3 reassembly": lambda: so3.reassemble(so3.so3_representation(t, metric), metric),
+        }
+        for key, call in calls.items():
+            call()
+            matrix = metric._cache[key]
+            assert not matrix.flags.writeable
+            call()
+            assert metric._cache[key] is matrix
+            assert metric.compiled(key, lambda: pytest.fail("compiled twice")) is matrix
 
 
 class TestNorm:

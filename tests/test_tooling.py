@@ -1,7 +1,8 @@
 """The committed formula notes, the oracle's solves of the skew constants and
 the trace weights on more than one metric, the oracle's independence from the
-shipped closed forms, the callables the benchmark's traced runs wrap, the
-one parity rule of the volume-element layer and the code-line counter."""
+shipped closed forms, the one cache idiom of the compiled matrices, the
+callables the benchmark's traced runs wrap, the one parity rule of the
+volume-element layer and the code-line counter."""
 
 import ast
 import importlib.util
@@ -126,7 +127,32 @@ def test_agreement_checks_the_compiled_matrix_against_the_rule_walk():
     used = {node.id for node in ast.walk(agreements) if isinstance(node, ast.Name)}
     used |= {node.attr for node in ast.walk(agreements) if isinstance(node, ast.Attribute)}
     assert {"materialize", "evaluate"} <= used
-    assert not used & {"operator", "apply", "_FREE_OPERATORS", "_cache"}
+    assert not used & {"operator", "apply", "basis_images", "_stack", "_free_images", "compiled",
+                       "_cache"}
+
+
+def _scoped(node, scope=()):
+    """``(scope, node)`` for ``node`` and each node under it, ``scope`` being
+    the names of the classes and functions that enclose it."""
+    yield scope, node
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+        scope += (node.name,)
+    for child in ast.iter_child_nodes(node):
+        yield from _scoped(child, scope)
+
+
+def test_one_cache_idiom():
+    # a metric's compiled values are read and written by Metric.compiled
+    # alone, whose setdefault keeps the first value stored; a process-wide
+    # cache is a functools.cache, not a module-level dict filled through
+    # setdefault
+    found = set()
+    for path in sorted((ROOT / "src/trideco").glob("*.py")):
+        for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("_cache", "setdefault"):
+                found.add((path.name, *scope, node.attr))
+    assert found == {("tensor.py", "Metric", "compiled", "_cache"),
+                     ("tensor.py", "Metric", "compiled", "setdefault")}
 
 
 #: the projections the oracle calls, per module: solve_reconstruction applies
