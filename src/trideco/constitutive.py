@@ -73,11 +73,11 @@ def _ingest(t: Tensor3, variance: str, symmetry: str, project, what: str) -> Ten
     c = t.components
     (asymmetry,) = defects((symmetry,), c)
     scale = max_abs(c)
-    if asymmetry > INGEST_TOL * scale:
+    if not asymmetry <= INGEST_TOL * scale:
         raise SymmetryError(
             f"{what}: relative asymmetry {asymmetry / scale:.3e} exceeds {INGEST_TOL:.0e}"
         )
-    if asymmetry > INGEST_SILENT * scale:
+    if not asymmetry <= INGEST_SILENT * scale:
         warnings.warn(f"{what}: symmetrized away asymmetry {asymmetry:.3e}",
                       stacklevel=4)
     return Tensor3(project(c), variance, t.parity)

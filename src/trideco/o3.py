@@ -16,25 +16,22 @@ from . import parts
 from .symmetrizers import defects
 from .tensor import (
     EUCLIDEAN,
+    SPLIT_TOL,
     Metric,
     SymmetryError,
     Tensor3,
     VarianceError,
     Vector3,
+    require_upper,
 )
 
 
-def _require(symmetry: str, t: Tensor3, tol: float, scale: float, message: str) -> None:
+def _require(symmetry: str, t: Tensor3, scale: float, message: str) -> None:
     """Raise ``SymmetryError(message)`` unless ``t`` has the named symmetry of
-    ``symmetrizers.SYMMETRIES`` to within ``tol`` times the larger of its
-    max-abs component and ``scale``."""
-    if defects((symmetry,), t.components)[0] > tol * max(scale, t.max_abs()):
+    ``symmetrizers.SYMMETRIES`` to within ``SPLIT_TOL`` times the larger of
+    its max-abs component and ``scale``; a NaN defect fails."""
+    if not defects((symmetry,), t.components)[0] <= SPLIT_TOL * max(scale, t.max_abs()):
         raise SymmetryError(message)
-
-
-def _require_upper(t: Tensor3, what: str) -> None:
-    if t.variance != "upper":
-        raise VarianceError(f"{what} expects an upper-variance tensor")
 
 
 @dataclass(frozen=True)
@@ -46,7 +43,7 @@ class TraceVectors:
 
 def trace_vectors(t: Tensor3, metric: Metric = EUCLIDEAN) -> TraceVectors:
     """The three metric contractions over slot pairs (1,2), (1,3), (2,3)."""
-    _require_upper(t, "trace_vectors")
+    require_upper(t, "trace_vectors")
     return TraceVectors(*_vectors(t.parity, *parts.traces(t.components, metric.g)))
 
 
@@ -62,7 +59,7 @@ def _split(x, parity: int, metric: Metric) -> tuple[Tensor3, Tensor3, np.ndarray
 
 
 def s_trace_split(
-    s: Tensor3, metric: Metric = EUCLIDEAN, tol: float = 1e-9, *, scale: float = 0.0
+    s: Tensor3, metric: Metric = EUCLIDEAN, *, scale: float = 0.0
 ) -> tuple[Tensor3, Tensor3, Vector3]:
     """Split a fully symmetric tensor into its trace part and traceless rest.
 
@@ -72,20 +69,20 @@ def s_trace_split(
     projection of ``parts``; on a fully symmetric tensor it puts
     ``alpha / 5`` in each slot.
 
-    The symmetry must hold to within ``tol`` times the larger of the
-    tensor's own max-abs component and ``scale``.  A part split off a
+    The symmetry must hold to within ``tensor.SPLIT_TOL`` times the larger
+    of the tensor's own max-abs component and ``scale``.  A part split off a
     tensor carries rounding of that tensor's size, so a caller passes the
     tensor's ``max_abs()`` as ``scale``; when the part is small next to the
     tensor, the part alone is too small to judge that rounding by.
     """
-    _require_upper(s, "s_trace_split")
-    _require("fully-symmetric", s, tol, scale, "s_trace_split expects a fully symmetric tensor")
+    require_upper(s, "s_trace_split")
+    _require("fully-symmetric", s, scale, "s_trace_split expects a fully symmetric tensor")
     k_part, r_part, t = _split(s.components, s.parity, metric)
     return (k_part, r_part, *_vectors(s.parity, t[0]))
 
 
 def n_trace_split(
-    n: Tensor3, metric: Metric = EUCLIDEAN, tol: float = 1e-9, *, scale: float = 0.0
+    n: Tensor3, metric: Metric = EUCLIDEAN, *, scale: float = 0.0
 ) -> tuple[Tensor3, Tensor3, Vector3, Vector3]:
     """Split a mixed-symmetry tensor into its trace part and traceless rest.
 
@@ -93,30 +90,27 @@ def n_trace_split(
     trace projection of ``parts`` applied to the tensor's own traces;
     ``beta`` and ``gamma`` are the independent trace vectors of the two
     plain-family components, whose trace parts add up to the same one.
-    ``tol`` and ``scale`` as in ``s_trace_split``.
+    The symmetry check and ``scale`` as in ``s_trace_split``.
     """
-    _require_upper(n, "n_trace_split")
-    _require("mixed", n, tol, scale, "n_trace_split expects a mixed-symmetry tensor")
+    require_upper(n, "n_trace_split")
+    _require("mixed", n, scale, "n_trace_split expects a mixed-symmetry tensor")
     m_part, p_part, t = _split(n.components, n.parity, metric)
     return (m_part, p_part, *_vectors(n.parity, *parts.plain_trace_vectors(t)))
 
 
 def n_family_trace_split(
-    n1: Tensor3, n2: Tensor3, metric: Metric = EUCLIDEAN, tol: float = 1e-9, *,
-    scale: float = 0.0
+    n1: Tensor3, n2: Tensor3, metric: Metric = EUCLIDEAN, *, scale: float = 0.0
 ) -> tuple[Tensor3, Tensor3, Tensor3, Tensor3]:
     """Trace/traceless split of the two plain-family components.
 
     Returns ``(m1, p1, m2, p2)``; each trace part is the one trace
-    projection of ``parts`` applied to its branch; ``tol`` and ``scale``, for
-    each component, as in ``s_trace_split``.
+    projection of ``parts`` applied to its branch; the symmetry check and
+    ``scale``, for each component, as in ``s_trace_split``.
     """
-    _require_upper(n1, "n_family_trace_split")
-    _require_upper(n2, "n_family_trace_split")
-    _require("pair-symmetric-ij", n1, tol, scale,
-             "first component must be symmetric in slots 1,2")
-    _require("pair-symmetric-ik", n2, tol, scale,
-             "second component must be symmetric in slots 1,3")
+    require_upper(n1, "n_family_trace_split")
+    require_upper(n2, "n_family_trace_split")
+    _require("pair-symmetric-ij", n1, scale, "first component must be symmetric in slots 1,2")
+    _require("pair-symmetric-ik", n2, scale, "second component must be symmetric in slots 1,3")
     return (*_split(n1.components, n1.parity, metric)[:2],
             *_split(n2.components, n2.parity, metric)[:2])
 
@@ -154,7 +148,7 @@ class O3Parts:
 
 def decompose(t: Tensor3, metric: Metric = EUCLIDEAN) -> O3Parts:
     """The unique five-part metric decomposition of a generic tensor."""
-    _require_upper(t, "decompose")
+    require_upper(t, "decompose")
     x = t.components
     tensors = parts.apply(("k_part", "r_part", "antisymmetric", "m_part", "p_part"), x, metric)
     s_traces, n_traces = parts.apply(("symmetric_traces", "residue_traces"), x, metric)

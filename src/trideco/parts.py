@@ -287,14 +287,15 @@ def operator(name: str, metric: Metric) -> np.ndarray:
 
 
 def _stack(names: tuple[str, ...], metric: Metric) -> np.ndarray:
-    def build():
-        matrices = basis_images(names, metric)
-        # one name keeps the walk's own array: a copy would change its memory
-        # layout (the trace parts come out column-major), and with it how
-        # BLAS rounds the oracle's products with it
-        return matrices[0] if len(names) == 1 else np.array(matrices)
+    return metric.compiled(names, _compile_stack, names, metric)
 
-    return metric.compiled(names, build)
+
+def _compile_stack(names: tuple[str, ...], metric: Metric) -> np.ndarray:
+    matrices = basis_images(names, metric)
+    # one name keeps the walk's own array: a copy would change its memory
+    # layout (the trace parts come out column-major), and with it how BLAS
+    # rounds the oracle's products with it
+    return matrices[0] if len(names) == 1 else np.array(matrices)
 
 
 def apply(names: tuple[str, ...], x: np.ndarray, metric: Metric) -> np.ndarray:

@@ -28,7 +28,7 @@ from . import gl3, o3, parts
 from .constitutive import HallTensor, PiezoTensor
 from .sl3 import pseudo_scalar_of
 from .symmetrizers import defects
-from .tensor import EUCLIDEAN, Metric, Tensor3, TensorError, VarianceError, max_abs
+from .tensor import EUCLIDEAN, Metric, Tensor3, TensorError, max_abs, require_upper
 
 REPORT_SCHEMA = 1
 
@@ -194,10 +194,10 @@ def build_report(
         t = (t if isinstance(t, HallTensor) else HallTensor(t)).tensor
     elif mode != "generic":
         raise ValueError(f"unknown mode {mode!r}")
-    elif t.variance != "upper":
-        raise VarianceError("generic decomposition expects an upper-variance tensor")
-    elif level not in LEVELS:
-        raise ValueError(f"unknown level {level!r}")
+    else:
+        require_upper(t, "generic decomposition")
+        if level not in LEVELS:
+            raise ValueError(f"unknown level {level!r}")
     if family is not None:
         gl3.check_family(family)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .permutations import S3
-from .tensor import Tensor2, Tensor3, VarianceError
+from .tensor import SPLIT_TOL, Tensor2, Tensor3, VarianceError, require_upper
 
 
 def _build_epsilon() -> np.ndarray:
@@ -102,8 +102,7 @@ def epsilon_tensor(variance: str = "upper") -> Tensor3:
 
 def pseudo_scalar(t: Tensor3) -> float:
     """Full contraction with the alternating symbol, normalized to 1 on it."""
-    if t.variance != "upper":
-        raise VarianceError("pseudo_scalar expects an upper-variance tensor")
+    require_upper(t, "pseudo_scalar")
     return pseudo_scalar_of(t.components)
 
 
@@ -146,8 +145,7 @@ class Sl3Parts:
 
 
 def epsilon_contractions(t: Tensor3) -> Sl3Parts:
-    if t.variance != "upper":
-        raise VarianceError("epsilon_contractions expects an upper-variance tensor")
+    require_upper(t, "epsilon_contractions")
     a_scalar = pseudo_scalar(t)
     parity = (t.parity + 1) % 2
     raw = {key: contraction(t.components, key) for key in _CONTRACTION}
@@ -165,48 +163,46 @@ def epsilon_contractions(t: Tensor3) -> Sl3Parts:
     )
 
 
-def require_traceless(mats: np.ndarray, what: str, tol: float, scale: float) -> None:
+def require_traceless(mats: np.ndarray, what: str, scale: float) -> None:
     """Raise ``VarianceError`` unless the trace of each mixed matrix in
-    ``mats``, ``(..., 3, 3)``, is within ``tol`` of the larger of its
-    max-abs entry and ``scale``."""
+    ``mats``, ``(..., 3, 3)``, is within ``tensor.SPLIT_TOL`` times the
+    larger of its max-abs entry and ``scale``; a NaN trace fails."""
     traces = np.abs(np.trace(mats, axis1=-2, axis2=-1))
-    if (traces > tol * np.maximum(scale, np.abs(mats).max(axis=(-2, -1)))).any():
+    if not (traces <= SPLIT_TOL * np.maximum(scale, np.abs(mats).max(axis=(-2, -1)))).all():
         raise VarianceError(f"{what} expects a traceless matrix")
 
 
-def _require_traceless(mat: Tensor2, what: str, tol: float, scale: float) -> None:
+def _require_traceless(mat: Tensor2, what: str, scale: float) -> None:
     if mat.variance != "lu":
         raise VarianceError(f"{what} expects a mixed (lower, upper) matrix")
-    require_traceless(mat.components, what, tol, scale)
+    require_traceless(mat.components, what, scale)
 
 
-def reconstruct_n1(b_check: Tensor2, tol: float = 1e-9, *, scale: float = 0.0) -> Tensor3:
+def reconstruct_n1(b_check: Tensor2, *, scale: float = 0.0) -> Tensor3:
     """Rebuild the slots-1,2-symmetric mixed component from its matrix.
 
-    The trace must be within ``tol`` of the larger of the matrix's own size
-    and ``scale``.  A matrix computed from a tensor carries rounding of that
-    tensor's size in its trace, so a caller passes the tensor's size as
-    ``scale``; when the mixed part is small next to the tensor, the matrix
-    alone is too small to judge that rounding by.
+    The trace must be within ``tensor.SPLIT_TOL`` times the larger of the
+    matrix's own size and ``scale``.  A matrix computed from a tensor
+    carries rounding of that tensor's size in its trace, so a caller passes
+    the tensor's size as ``scale``; when the mixed part is small next to
+    the tensor, the matrix alone is too small to judge that rounding by.
     """
-    _require_traceless(b_check, "reconstruct_n1", tol, scale)
+    _require_traceless(b_check, "reconstruct_n1", scale)
     return rebuild(b_check.components, b_check.parity, N1_WEIGHTS)
 
 
-def reconstruct_n2(c_check: Tensor2, tol: float = 1e-9, *, scale: float = 0.0) -> Tensor3:
+def reconstruct_n2(c_check: Tensor2, *, scale: float = 0.0) -> Tensor3:
     """Rebuild the slots-1,3-symmetric mixed component from its matrix;
-    ``tol`` and ``scale`` as in ``reconstruct_n1``."""
-    _require_traceless(c_check, "reconstruct_n2", tol, scale)
+    the trace check and ``scale`` as in ``reconstruct_n1``."""
+    _require_traceless(c_check, "reconstruct_n2", scale)
     return rebuild(c_check.components, c_check.parity, N2_WEIGHTS)
 
 
-def reconstruct_n(
-    b_check: Tensor2, c_check: Tensor2, tol: float = 1e-9, *, scale: float = 0.0
-) -> Tensor3:
+def reconstruct_n(b_check: Tensor2, c_check: Tensor2, *, scale: float = 0.0) -> Tensor3:
     """Rebuild the full mixed-symmetry part from its two matrices.
 
     Round trip: feeding the ``b_check``/``c_check`` of a tensor back through
     this map, with the tensor's ``max_abs()`` as ``scale``, returns that
     tensor's mixed-symmetry part.
     """
-    return reconstruct_n1(b_check, tol, scale=scale) + reconstruct_n2(c_check, tol, scale=scale)
+    return reconstruct_n1(b_check, scale=scale) + reconstruct_n2(c_check, scale=scale)

@@ -57,6 +57,7 @@ from .tensor import (
     VarianceError,
     Vector3,
     max_abs,
+    require_upper,
 )
 
 # Skew matrix parts written back in terms of the trace vectors.
@@ -206,9 +207,8 @@ def _compile_reassembly(metric: Metric) -> np.ndarray:
 
 
 def so3_representation(t: Tensor3, metric: Metric = EUCLIDEAN) -> So3Representation:
-    if t.variance != "upper":
-        raise VarianceError("so3_representation expects an upper-variance tensor")
-    forward = metric.compiled("so3 forward", lambda: _compile_forward(metric))
+    require_upper(t, "so3_representation")
+    forward = metric.compiled("so3 forward", _compile_forward, metric)
     values = t.components.reshape(27) @ forward
     if not np.isfinite(values).all():
         raise TensorError("so3_representation overflows: a field is not finite")
@@ -246,9 +246,9 @@ def second_component_from(f_mat: Tensor2, gamma_vec: Vector3,
 def reassemble(rep: So3Representation, metric: Metric = EUCLIDEAN) -> Tensor3:
     """Invert ``so3_representation``; exact up to rounding.
 
-    Each mixed matrix must be traceless against ``g_inv`` as
-    ``sl3.reconstruct_n1`` requires, with the rest of the tensor, its
-    symmetric part and pseudo-scalar, as ``scale``.
+    Each mixed matrix must be traceless against ``g_inv`` to within
+    ``tensor.SPLIT_TOL``, as ``sl3.reconstruct_n1`` requires, with the rest
+    of the tensor, its symmetric part and pseudo-scalar, as ``scale``.
     """
     if rep.r_part.variance != "upper":
         raise VarianceError("reassemble expects an upper-variance r_part")
@@ -257,11 +257,11 @@ def reassemble(rep: So3Representation, metric: Metric = EUCLIDEAN) -> Tensor3:
         rep.e_mat.components.reshape(9), rep.beta_vec.components,
         rep.f_mat.components.reshape(9), rep.gamma_vec.components,
     ])
-    matrix = metric.compiled("so3 reassembly", lambda: _compile_reassembly(metric))
+    matrix = metric.compiled("so3 reassembly", _compile_reassembly, metric)
     rest = values[_REST] @ matrix[_REST]
     # the mixed matrices carry rounding of the whole tensor's size, so their
-    # traces are judged against the rest of it too, with reconstruct_n1's tol
+    # traces are judged against the rest of it too
     mats = _lowered(values[_MATRICES], _SKEW_COEFFS, values[_VECTORS]) @ metric.g_inv
-    sl3.require_traceless(mats, "reassemble", 1e-9, max_abs(rest))
+    sl3.require_traceless(mats, "reassemble", max_abs(rest))
     mixed = values[_MIXED] @ matrix[_MIXED]
     return Tensor3((rest + mixed).reshape(3, 3, 3), "upper", rep.r_part.parity)

@@ -22,6 +22,11 @@ import numpy as np
 from .permutations import Perm
 
 DEFAULT_TOL = 1e-12
+#: relative defect within which a part handed to a split or an inverse map
+#: counts as having its prescribed symmetry or tracelessness: the defect must
+#: be at most this times the larger of the part's own size and the size of
+#: the tensor it was split from
+SPLIT_TOL = 1e-9
 
 TENSOR3_VARIANCES = ("upper", "lower")
 TENSOR2_VARIANCES = ("uu", "ll", "lu", "ul")
@@ -237,16 +242,17 @@ class Metric:
     def euclidean(cls) -> "Metric":
         return cls(np.eye(3))
 
-    def compiled(self, key, build):
+    def compiled(self, key, build, *args):
         """The value kept under ``key`` for this metric, built on first use.
 
-        On a miss ``build()`` computes the value; an ndarray is made
+        On a miss ``build(*args)`` computes the value; an ndarray is made
         read-only.  A caller that stored the same key first wins, so every
-        caller gets one object.
+        caller gets one object.  Callers pass a module-level ``build``, so a
+        hit builds no closure.
         """
         value = self._cache.get(key)
         if value is None:
-            value = build()
+            value = build(*args)
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
             value = self._cache.setdefault(key, value)
@@ -256,12 +262,7 @@ class Metric:
         """The three-slot metric contraction as a read-only 27x27 matrix on
         flattened components: ``g`` contracts upper indices, ``g_inv`` lower
         ones."""
-
-        def build():
-            shift, scaled = self.scaled_contraction(variance)
-            return np.ldexp(scaled, shift)
-
-        return self.compiled(variance, build)
+        return self.compiled(variance, _contraction, self, variance)
 
     def scaled_contraction(self, variance: str) -> tuple[int, np.ndarray]:
         """``(shift, matrix)``: the contraction of ``variance`` is ``matrix``
@@ -274,16 +275,22 @@ class Metric:
         its entries are exactly the contraction matrix's wherever those do
         neither.  Kept read-only in the ``_cache``.
         """
+        return self.compiled(("scaled", variance), _scaled_contraction, self, variance)
 
-        def build():
-            g = self.g if variance == "upper" else self.g_inv
-            half = math.frexp(max_abs(g))[1] // 2
-            unit = np.ldexp(g, -2 * half)
-            matrix = np.einsum("im,jn,kp->ijkmnp", unit, unit, unit).reshape(27, 27)
-            matrix.setflags(write=False)
-            return 6 * half, matrix
 
-        return self.compiled(("scaled", variance), build)
+def _contraction(metric: Metric, variance: str) -> np.ndarray:
+    shift, scaled = metric.scaled_contraction(variance)
+    return np.ldexp(scaled, shift)
+
+
+def _scaled_contraction(metric: Metric, variance: str) -> tuple[int, np.ndarray]:
+    g = metric.g if variance == "upper" else metric.g_inv
+    half = math.frexp(max_abs(g))[1] // 2
+    unit = np.ldexp(g, -2 * half)
+    matrix = np.einsum("im,jn,kp->ijkmnp", unit, unit, unit).reshape(27, 27)
+    matrix.setflags(write=False)
+    return 6 * half, matrix
+
 
 EUCLIDEAN = Metric.euclidean()
 
@@ -343,7 +350,14 @@ def scalar_product(a: Tensor3, b: Tensor3, metric: Metric = EUCLIDEAN) -> float:
 
 
 def norm(t: Tensor3, metric: Metric = EUCLIDEAN) -> float:
-    return float(np.sqrt(max(scalar_product(t, t, metric), 0.0)))
+    """The metric norm of ``t``, scaled as ``report.build_report`` scales it:
+    the components by the power of two near their max-abs, under
+    ``Metric.scaled_contraction``.  Both scalings are exact, so the norm is
+    right at any scale of the data and the metric where it is representable."""
+    _, exponent = math.frexp(t.max_abs())
+    shift, contraction = metric.scaled_contraction(t.variance)
+    x = np.ldexp(t.components.reshape(27), -exponent)
+    return float(np.ldexp(np.sqrt(max(x @ contraction @ x, 0.0)), exponent + shift // 2))
 
 
 def _on_slots(m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -351,9 +365,15 @@ def _on_slots(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("im,jn,kp,mnp->ijk", m, m, m, x)
 
 
-def lower_indices(t: Tensor3, metric: Metric = EUCLIDEAN) -> Tensor3:
+def require_upper(t: Tensor3, what: str) -> None:
+    """Raise ``VarianceError`` unless ``t`` has upper variance; ``what`` names
+    the caller in the message."""
     if t.variance != "upper":
-        raise VarianceError("lower_indices expects an upper-variance tensor")
+        raise VarianceError(f"{what} expects an upper-variance tensor")
+
+
+def lower_indices(t: Tensor3, metric: Metric = EUCLIDEAN) -> Tensor3:
+    require_upper(t, "lower_indices")
     return Tensor3(_on_slots(metric.g, t.components), "lower", t.parity)
 
 

@@ -2,7 +2,8 @@
 scales every part, vector and pseudo-scalar by ``c`` and every norm by
 ``|c|``, leaves the shares and the symmetry class alone, and does so from
 1e-150 to 1e150.  Scaling the metric instead scales every report norm by a
-power 3/2 of the factor and leaves the shares alone."""
+power 3/2 of the factor and leaves the shares alone; ``tensor.norm`` is the
+report's input norm at every scale of both."""
 
 import dataclasses
 
@@ -11,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from trideco import constitutive, gl3, o3, report, so3
-from trideco.tensor import EUCLIDEAN, Metric, Tensor3
+from trideco.tensor import EUCLIDEAN, Metric, Tensor3, TensorError, norm
 
 METRICS = {"euclid": EUCLIDEAN, "diag211": Metric(np.diag([2.0, 1.0, 1.0]))}
 
@@ -141,3 +142,27 @@ def test_scaling_the_metric_scales_every_norm(seed, exponent, k, metric_name):
         for part, base_part in zip(scaled.parts, base.parts):
             assert abs(part.norm - factor * base_part.norm) <= norm_bound, where
             assert abs(part.share - base_part.share) <= 4e-15, where
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.integers(-150, 150),
+    k=st.integers(-100, 100),
+    mode=st.sampled_from(["generic", "hall"]),
+)
+# data at 1e-150 under about 1e-10 * g once had norm 0.0 where the report's
+# was near 1e-165, and data at 1e-100 under about 1e-60 * g likewise
+@example(seed=0, exponent=-150, k=-17, mode="generic")
+@example(seed=0, exponent=-100, k=-100, mode="generic")
+def test_the_norm_is_the_reports_input_norm(seed, exponent, k, mode):
+    # tensor.norm scales as the report does, so it neither under- nor
+    # overflows where the report's norm is representable
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, (3, 3, 3)) * 10.0**exponent
+    t = _report_input(x, mode)
+    metric = Metric(np.diag([2.0, 1.0, 1.0]) * 4.0**k)
+    try:
+        expected = report.build_report(t, "o3", mode=mode, metric=metric).input_summary["norm"]
+    except TensorError:
+        assume(False)
+    assert abs(norm(t, metric) - expected) <= 1e-14 * expected

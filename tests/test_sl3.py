@@ -140,6 +140,13 @@ class TestReconstruction:
         with pytest.raises(VarianceError):
             sl3.reconstruct_n2(Tensor2(1e-6 * np.eye(3), "lu", 1), scale=1.0)
 
+    def test_a_nan_trace_fails(self):
+        # the check passes only a trace within its bound, so a NaN, which
+        # compares false either way, is rejected
+        mats = np.stack([np.zeros((3, 3)), np.full((3, 3), np.nan)])
+        with pytest.raises(VarianceError, match="expects a traceless matrix"):
+            sl3.require_traceless(mats, "reassemble", 1.0)
+
     @pytest.mark.parametrize("kind", SMALL_MIXED_KINDS)
     @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
     def test_round_trip_with_small_mixed_part(self, rng, scale, kind):

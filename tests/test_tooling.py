@@ -2,7 +2,8 @@
 the trace weights on more than one metric, the oracle's independence from the
 shipped closed forms, the one cache idiom of the compiled matrices, the
 callables the benchmark's traced runs wrap, the one parity rule of the
-volume-element layer and the code-line counter."""
+volume-element layer, the one split tolerance and variance check, and the
+code-line counter."""
 
 import ast
 import importlib.util
@@ -153,6 +154,36 @@ def test_one_cache_idiom():
                 found.add((path.name, *scope, node.attr))
     assert found == {("tensor.py", "Metric", "compiled", "_cache"),
                      ("tensor.py", "Metric", "compiled", "setdefault")}
+
+
+#: the module-level constants that may hold the relative tolerance 1e-9
+_TOLERANCE_CONSTANTS = {"SPLIT_TOL", "INGEST_TOL", "CLASSIFY_REL_TOL", "RANK_TOL"}
+
+
+def test_one_split_tolerance_and_one_variance_check():
+    # the split and inverse maps read tensor.SPLIT_TOL and take no tolerance
+    # of their own; every upper-variance precondition is tensor.require_upper
+    taking_tol, stray, messages = [], [], []
+    for path in sorted((ROOT / "src/trideco").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named = {
+            id(node.value) for node in tree.body if isinstance(node, ast.Assign)
+            and {ast.unparse(target) for target in node.targets} <= _TOLERANCE_CONSTANTS
+        }
+        for scope, node in _scoped(tree):
+            if isinstance(node, ast.FunctionDef) and path.stem in ("o3", "sl3", "so3"):
+                arguments = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                if "tol" in {argument.arg for argument in arguments}:
+                    taking_tol.append(f"{path.stem}.{node.name}")
+            if not isinstance(node, ast.Constant):
+                continue
+            if isinstance(node.value, float) and node.value == 1e-9 and id(node) not in named:
+                stray.append(f"{path.name}: {'.'.join(scope)}")
+            if isinstance(node.value, str) and "expects an upper-variance tensor" in node.value:
+                messages.append((path.name, *scope))
+    assert not taking_tol
+    assert not stray
+    assert messages == [("tensor.py", "require_upper")]
 
 
 #: the projections the oracle calls, per module: solve_reconstruction applies
