@@ -55,8 +55,6 @@ _PIEZO_WEIGHTS = (0.0, -PIEZO_RECONSTRUCTION_COEFF, PIEZO_RECONSTRUCTION_COEFF)
 HALL_RECONSTRUCTION_COEFFS = (1.0 / 3.0, -1.0 / 3.0, 2.0 / 3.0)
 #: skew part of the pair-antisymmetric matrix in terms of the trace covector
 HALL_SKEW_FROM_TRACE = -0.5
-#: weights of the lowered-matrix form of the reconstruction
-HALL_MATRIX_WEIGHTS = (0.5, -0.5, 0.5)
 
 
 def _ingest(t: Tensor3, variance: str, symmetry: str, project, what: str) -> Tensor3:
@@ -246,5 +244,10 @@ def hall_n_from_matrix(a_check: Tensor2) -> Tensor3:
 
 
 def hall_parts_from_matrix(parts: HallParts) -> tuple[Tensor3, Tensor3]:
-    """Trace and traceless mixed pieces rebuilt from the matrix halves."""
-    return _from_halves((parts.a_skew, parts.a_sym), parts.metric.g, HALL_MATRIX_WEIGHTS, "lower")
+    """Trace and traceless mixed pieces rebuilt from the matrix halves.
+
+    Each half, moved back by the metric, is traceless like the matrix, so
+    the weights of ``hall_n_from_matrix`` rebuild it.
+    """
+    return _from_halves((parts.a_skew, parts.a_sym), parts.metric.g,
+                        HALL_RECONSTRUCTION_COEFFS, "lower")

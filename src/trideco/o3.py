@@ -22,6 +22,8 @@ from .tensor import (
     Tensor3,
     VarianceError,
     Vector3,
+    gram,
+    max_abs,
     require_upper,
 )
 
@@ -116,22 +118,16 @@ def n_family_trace_split(
 
 
 def orthogonality_matrix(parts, metric: Metric = EUCLIDEAN) -> np.ndarray:
-    """Gram matrix of scalar products between the given tensors."""
+    """Gram matrix of scalar products between the given tensors, from
+    ``tensor.gram``."""
     parts = list(parts)
     if not parts:
         return np.zeros((0, 0))
     if any(t.variance != parts[0].variance for t in parts):
         raise VarianceError("scalar product requires equal variance")
-    return gram(np.array([t.components for t in parts]).reshape(len(parts), 27),
-                metric.contraction_matrix(parts[0].variance))
-
-
-def gram(rows: np.ndarray, contraction: np.ndarray) -> np.ndarray:
-    """Gram matrix of the flattened components in the rows of ``rows``
-    under the 27x27 metric ``contraction``."""
-    result = rows @ contraction @ rows.T
-    # the two triangles round differently; their mean is exactly symmetric
-    return (result + result.T) / 2.0
+    rows = np.array([t.components for t in parts]).reshape(len(parts), 27)
+    scaled, exponent = gram(rows, max_abs(rows), parts[0].variance, metric)
+    return np.ldexp(scaled, exponent)
 
 
 @dataclass(frozen=True)

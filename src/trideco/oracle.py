@@ -18,10 +18,8 @@ the shipped closed forms, so a transcription error in a formula cannot hide
 from them.  Their results are compared with the constants named in
 ``SHIPPED_CONSTANTS``.  The package applies all of them but two:
 ``constitutive.PIEZO_SKEW_FROM_TRACE`` and ``HALL_SKEW_FROM_TRACE`` are
-solved, yet no map applies them.  One applied constant has no solve:
-``constitutive.HALL_MATRIX_WEIGHTS``, which ``hall_parts_from_matrix``
-applies, agrees with the solved ``HALL_RECONSTRUCTION_COEFFS`` only on
-traceless matrices.
+solved, yet no map applies them.  Every reconstruction weight the package
+applies is one of them.
 
 ``so3_round_trip`` judges the so3 representation and its inverse as one
 map: their composition on the basis tensors must be the identity.
@@ -426,7 +424,7 @@ _M1_X, _, _M1_Y = (float(w) for w in _TRACE_WEIGHTS @ (1.0, -0.5, -0.5))
 #: (system, ansatz labels, the coefficients the package ships, a hand-derived
 #: value that circulates); the solves are compared with the third column.  The
 #: package applies each shipped column except the piezo and Hall skew
-#: constants, which no map applies
+#: constants, which no map applies, and no reconstruction weight outside it
 SHIPPED_CONSTANTS = (
     ("n1_from_matrix", ("x", "y", "z"),
      (RECONSTRUCTION_COEFF, RECONSTRUCTION_COEFF, 0.0), (-0.5, -0.5, 0.0)),

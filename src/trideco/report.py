@@ -3,32 +3,29 @@
 A report is one product: ``parts.apply`` multiplies the input by the
 stacked compiled operators of its parts and of the identity, which the
 metric compiles on the first report and keeps (``Metric.compiled``).  The
-parts and the input's own row form one block; its Gram matrix gives every norm and share and is
-checked for finiteness once, and each part's tensor is a read-only view of
-its row.  The Gram matrix is taken of the block scaled by a power of two
-near the input's size, under the contraction of the metric scaled by a
-power of four near 1 (``Metric.scaled_contraction``).  Both scalings are
-exact, so the norms and shares neither underflow nor overflow at any scale
-of the data and the metric, and are the unscaled arithmetic's wherever that
-does neither; the report's ``gram`` is scaled back, and may underflow.  The
-symmetry class reads the four class defects of ``symmetrizers.defects``,
-relative to the input's max-abs component, which the report reads once for
-the class and the scaling.  The JSON document and the text rendering both
-read the report's own fields, so both carry identical numbers.
+parts and the input's own row form one block, and each part's tensor is a
+read-only view of its row.  The block's Gram matrix is ``tensor.gram``'s,
+the one metric product of the package, scaled by the power of two of the
+input's max-abs component: it gives every norm and share at any scale of
+the data and the metric, and is checked for finiteness once; the report's
+``gram`` is scaled back, and may underflow.  The symmetry class reads the
+four class defects of ``symmetrizers.defects``, relative to the same
+max-abs component, which the report reads once for the class and the
+scaling.  The JSON document and the text rendering both read the report's
+own fields, so both carry identical numbers.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import gl3, o3, parts
+from . import gl3, parts
 from .constitutive import HallTensor, PiezoTensor
 from .sl3 import pseudo_scalar_of
 from .symmetrizers import defects
-from .tensor import EUCLIDEAN, Metric, Tensor3, TensorError, max_abs, require_upper
+from .tensor import EUCLIDEAN, Metric, Tensor3, TensorError, gram, max_abs, require_upper
 
 REPORT_SCHEMA = 1
 
@@ -210,24 +207,18 @@ def build_report(
     arrays.setflags(write=False)
     count = len(named)
     size = max_abs(x)
-    # the Gram matrix of the rows scaled by a power of two near the input's
-    # size, under the contraction of the metric scaled by a power of four
-    # near 1, both exact, keeps the norms and shares clear of under- and
-    # overflow at any scale of the data and the metric
-    _, exponent = math.frexp(size)
-    shift, contraction = metric.scaled_contraction(t.variance)
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled = o3.gram(np.ldexp(arrays.reshape(count + 1, 27), -exponent), contraction)
-        gram = np.ldexp(scaled, 2 * exponent + shift)
+        scaled, exponent = gram(arrays.reshape(count + 1, 27), size, t.variance, metric)
+        full = np.ldexp(scaled, exponent)
     # the contraction is positive definite, so a part that overflowed leaves
     # a non-finite diagonal entry too
-    if not np.isfinite(gram).all():
+    if not np.isfinite(full).all():
         raise TensorError(
             "report overflows: the Gram matrix of the parts is not finite "
             f"(max-abs component {size:.3e})"
         )
     scaled_norms = np.sqrt(np.maximum(scaled.diagonal(), 0.0))
-    norms = np.ldexp(scaled_norms, exponent + shift // 2)
+    norms = np.ldexp(scaled_norms, exponent // 2)
     total_sq = scaled_norms[-1] ** 2
     shares = scaled_norms[:-1] ** 2 / total_sq if total_sq > 0 else np.zeros(count)
     entries = tuple(
@@ -246,7 +237,7 @@ def build_report(
             "parity": t.parity,
         },
         parts=entries,
-        gram=gram[:-1, :-1],
+        gram=full[:-1, :-1],
         residual=max_abs(x - arrays[:count].sum(axis=0)),
         pseudo_scalar=pseudo_scalar_of(x) if shape in _PSEUDO_SCALAR_SHAPES else None,
     )

@@ -261,7 +261,8 @@ class Metric:
     def contraction_matrix(self, variance: str) -> np.ndarray:
         """The three-slot metric contraction as a read-only 27x27 matrix on
         flattened components: ``g`` contracts upper indices, ``g_inv`` lower
-        ones."""
+        ones.  It under- or overflows at metrics far from 1, so the package's
+        own products contract through ``gram`` and ``scaled_contraction``."""
         return self.compiled(variance, _contraction, self, variance)
 
     def scaled_contraction(self, variance: str) -> tuple[int, np.ndarray]:
@@ -273,13 +274,14 @@ class Metric:
         ``shift`` is ``6 h``.  Scaling by a power of two is exact, so the
         matrix neither under- nor overflows at any scale of the metric, and
         its entries are exactly the contraction matrix's wherever those do
-        neither.  Kept read-only in the ``_cache``.
+        neither.  Kept read-only in the ``_cache``; ``gram`` is its one
+        reader.
         """
         return self.compiled(("scaled", variance), _scaled_contraction, self, variance)
 
 
 def _contraction(metric: Metric, variance: str) -> np.ndarray:
-    shift, scaled = metric.scaled_contraction(variance)
+    shift, scaled = _scaled_contraction(metric, variance)
     return np.ldexp(scaled, shift)
 
 
@@ -341,23 +343,42 @@ def permute(t: Tensor3, sigma: Perm | str) -> Tensor3:
     return t._with(np.transpose(t.components, perm.transpose_axes()))
 
 
+def gram(rows: np.ndarray, size: float, variance: str, metric: Metric) -> tuple[np.ndarray, int]:
+    """``(scaled, exponent)``: the Gram matrix of the flattened components in
+    the ``(n, 27)`` ``rows`` under the metric contraction of ``variance`` is
+    ``ldexp(scaled, exponent)``, and each row's norm ``ldexp(sqrt(d),
+    exponent // 2)`` of its diagonal entry ``d``.
+
+    The rows are scaled by the power of two of ``size``, a max-abs the
+    caller already holds (a report passes its input's, the size of its
+    parts), and contracted with
+    ``Metric.scaled_contraction``; ``exponent`` is even.  Both scalings are
+    exact, so ``scaled`` neither under- nor overflows at any scale of the
+    data and the metric, and is the unscaled product's wherever that does
+    neither.  The two triangles round differently; their mean is exactly
+    symmetric.
+    """
+    _, exponent = math.frexp(size)
+    shift, contraction = metric.scaled_contraction(variance)
+    scaled = np.ldexp(rows, -exponent)
+    result = scaled @ contraction @ scaled.T
+    return (result + result.T) / 2.0, 2 * exponent + shift
+
+
 def scalar_product(a: Tensor3, b: Tensor3, metric: Metric = EUCLIDEAN) -> float:
-    """Full three-slot contraction of ``a`` and ``b`` through the metric."""
+    """Full three-slot contraction of ``a`` and ``b`` through the metric,
+    an entry of their ``gram``."""
     if a.variance != b.variance:
         raise VarianceError("scalar product requires equal variance")
-    contraction = metric.contraction_matrix(a.variance)
-    return float(a.components.reshape(27) @ contraction @ b.components.reshape(27))
+    rows = np.array((a.components, b.components)).reshape(2, 27)
+    scaled, exponent = gram(rows, max_abs(rows), a.variance, metric)
+    return float(np.ldexp(scaled[0, 1], exponent))
 
 
 def norm(t: Tensor3, metric: Metric = EUCLIDEAN) -> float:
-    """The metric norm of ``t``, scaled as ``report.build_report`` scales it:
-    the components by the power of two near their max-abs, under
-    ``Metric.scaled_contraction``.  Both scalings are exact, so the norm is
-    right at any scale of the data and the metric where it is representable."""
-    _, exponent = math.frexp(t.max_abs())
-    shift, contraction = metric.scaled_contraction(t.variance)
-    x = np.ldexp(t.components.reshape(27), -exponent)
-    return float(np.ldexp(np.sqrt(max(x @ contraction @ x, 0.0)), exponent + shift // 2))
+    """The metric norm of ``t``, from its ``gram`` as the report takes it."""
+    scaled, exponent = gram(t.components.reshape(1, 27), t.max_abs(), t.variance, metric)
+    return float(np.ldexp(np.sqrt(max(scaled[0, 0], 0.0)), exponent // 2))
 
 
 def _on_slots(m: np.ndarray, x: np.ndarray) -> np.ndarray:

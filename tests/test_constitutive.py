@@ -558,7 +558,7 @@ class TestExplicitTerms:
             a_sym=Tensor2(sym, "uu", 1),
         )
         g = metric.g
-        x, y, z = cons.HALL_MATRIX_WEIGHTS
+        x, y, z = cons.HALL_RECONSTRUCTION_COEFFS
 
         def rebuild(half):
             return (

@@ -2,9 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from trideco import parts, so3
+from trideco import o3, parts, so3
 from trideco.permutations import S3, Perm
 from trideco.tensor import (
     EUCLIDEAN,
@@ -113,6 +115,45 @@ class TestScalarProduct:
         lhs = scalar_product(permute(a, sigma), b)
         rhs = scalar_product(a, permute(b, sigma.inverse()))
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+    def test_products_hold_across_the_range_of_the_data(self):
+        # contracted at absolute scale, these two read 0.0 and 1.33e-180
+        x = np.random.default_rng(0).uniform(-1.0, 1.0, (3, 3, 3))
+        a, b = Tensor3(1e-150 * x), Tensor3(1e150 * x)
+        metric = Metric(4.0**-100 * np.eye(3))
+        expected = norm(a, metric) * norm(b, metric)
+        for product in (scalar_product(a, b, metric),
+                        o3.orthogonality_matrix([a, b], metric)[0, 1]):
+            assert abs(product - expected) <= 1e-14 * expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    u=st.integers(-150, 150),
+    v=st.integers(-150, 150),
+    k=st.integers(-100, 100),
+)
+# the product of data at 1e-150 and 1e150 under 4**-100 * g once read 0.0
+@example(seed=0, u=-150, v=150, k=-100)
+# a product past the largest float is inf
+@example(seed=0, u=150, v=150, k=100)
+def test_products_scale_with_the_data_and_the_metric(seed, u, v, k):
+    # a metric 4**k * g scales the contraction of upper indices by 2**(6 k)
+    x, y = np.random.default_rng(seed).uniform(-1.0, 1.0, (2, 3, 3, 3))
+    base = Metric(np.diag([2.0, 1.0, 1.0]))
+    unit = scalar_product(Tensor3(x), Tensor3(y), base)
+    unit_bound = norm(Tensor3(x), base) * norm(Tensor3(y), base)
+    a, b = Tensor3(x * 10.0**u), Tensor3(y * 10.0**v)
+    metric = Metric(base.g * 4.0**k)
+    with np.errstate(over="ignore"):
+        expected, bound = np.ldexp(np.array([unit, unit_bound]) * 10.0**u * 10.0**v, 6 * k)
+        products = (scalar_product(a, b, metric), o3.orthogonality_matrix([a, b], metric)[0, 1])
+    if np.isinf(expected):
+        assert products == (expected, expected)
+    elif abs(expected) >= np.finfo(float).tiny:
+        for product in products:
+            assert abs(product - expected) <= 1e-14 * bound
 
 
 class TestCompiled:

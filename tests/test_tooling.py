@@ -1,12 +1,16 @@
 """The committed formula notes, the oracle's solves of the skew constants and
 the trace weights on more than one metric, the oracle's independence from the
-shipped closed forms, the one cache idiom of the compiled matrices, the
-callables the benchmark's traced runs wrap, the one parity rule of the
-volume-element layer, the one split tolerance and variance check, and the
-code-line counter."""
+shipped closed forms, the one cache idiom of the compiled matrices, the one
+scaled metric product, the callables the benchmark's traced runs wrap, the
+one parity rule of the volume-element layer, the one split tolerance and
+variance check, the code-line counter and the report digest."""
 
 import ast
 import importlib.util
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +160,19 @@ def test_one_cache_idiom():
                      ("tensor.py", "Metric", "compiled", "setdefault")}
 
 
+def test_one_scaled_metric_product():
+    # every metric product contracts through tensor.gram, which scales the
+    # data and the metric by powers of two; the contraction at absolute scale
+    # under- or overflows at metrics far from 1
+    found = set()
+    for path in sorted((ROOT / "src/trideco").glob("*.py")):
+        for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("scaled_contraction", "contraction_matrix")):
+                found.add((path.name, *scope, node.func.attr))
+    assert found == {("tensor.py", "gram", "scaled_contraction")}
+
+
 #: the module-level constants that may hold the relative tolerance 1e-9
 _TOLERANCE_CONSTANTS = {"SPLIT_TOL", "INGEST_TOL", "CLASSIFY_REL_TOL", "RANK_TOL"}
 
@@ -283,3 +300,19 @@ def test_every_traced_callable_exists():
         if not callable(getattr(owner, attribute, None))
     ]
     assert not missing
+
+
+def test_report_digest_runs_the_same_twice():
+    # the digest reads trideco from PYTHONPATH, so it can be run on any tree
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    runs = [
+        subprocess.run([sys.executable, str(ROOT / "scripts/report_digest.py")], env=env,
+                       capture_output=True, text=True, check=True).stdout
+        for _ in range(2)
+    ]
+    assert runs[0] == runs[1]
+    source, *shapes = runs[0].splitlines()
+    assert Path(source).resolve() == (ROOT / "src/trideco/__init__.py").resolve()
+    assert len(shapes) == 9
+    assert all(re.fullmatch(r"\S+ +300 reports, +\d+ rejected  [0-9a-f]{64}", line)
+               for line in shapes)
