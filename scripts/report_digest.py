@@ -1,32 +1,47 @@
 #!/usr/bin/env python3
-"""Print a SHA-256 digest of a fixed corpus of reports, one line per report shape.
+"""Print SHA-256 digests of the library's results on a fixed corpus, one named line each.
 
 The corpus is seeded: 300 tensors with components at 10**u, u uniform in
-[-150, 150], each reported in all nine shapes (gl3 with no family and with
-each of the three, o3, sl3, so3, piezo and Hall) under one of nine metrics
-in turn: the Euclidean metric, diag(2, 1, 1) and [[2, 1, 0], [1, 2, 0],
-[0, 0, 3]], each also times 4**40 and 4**-40.  A shape's digest runs over
-each report's ``to_dict()`` JSON, its ``render_text()``, its ``gram`` bytes
-and its parts' component bytes; a rejected report contributes its exception
-type and message instead.  The first output line is the file ``trideco`` was
+[-150, 150], each taken under one of nine metrics in turn: the Euclidean
+metric, diag(2, 1, 1) and [[2, 1, 0], [1, 2, 0], [0, 0, 3]], each also
+times 4**40 and 4**-40.  The first output line is the file ``trideco`` was
 imported from, so two trees can be compared by running the script under
-each's ``PYTHONPATH``: equal lines mean byte-identical reports.
+each's ``PYTHONPATH``: equal lines mean byte-identical results.  Then:
+
+- one line per report shape (gl3 with no family and with each of the
+  three, o3, sl3, so3, piezo and Hall), over each corpus tensor's report:
+  its ``to_dict()`` JSON, its ``render_text()``, its ``gram`` bytes and its
+  parts' component bytes;
+- ``self_check/<seed>`` for seeds 0, 1 and 12345: the JSON of
+  ``oracle.self_check(seed)`` with sorted keys;
+- ``operator/<name>`` for every part in ``parts.PARTS``: the bytes of
+  ``parts.operator(name, m)`` under the three unscaled metrics;
+- one line per public call on the corpus (``gl3.decompose`` in every
+  family, ``o3.decompose``, the sl3 contractions and pseudo-scalar, the so3
+  representation and its reassembly, and the piezo and Hall decompositions
+  and the parts they rebuild from their matrices): the bytes, tags and
+  floats of each result.
+
+A rejected report or call contributes its exception type and message
+instead.
 
     PYTHONPATH=src python3 scripts/report_digest.py
 """
 
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 
 import trideco
-from trideco import report
+from trideco import constitutive, gl3, o3, oracle, parts, report, sl3, so3
 from trideco.gl3 import FAMILIES
 from trideco.tensor import Metric, Tensor3
 
 SEED = 20240607
 DRAWS = 300
+SELF_CHECK_SEEDS = (0, 1, 12345)
 
 #: (level, family, mode) of every report shape
 SHAPES = (
@@ -54,15 +69,68 @@ def _input(x: np.ndarray, mode: str) -> Tensor3:
     return Tensor3(x)
 
 
-def _report_bytes(t: Tensor3, level, family, mode, metric) -> tuple[bytes, bool]:
-    """The bytes a report contributes to its digest and whether it was rejected."""
-    try:
-        rep = report.build_report(t, level, family, mode, metric)
-    except ValueError as error:
-        return f"{type(error).__name__}: {error}".encode(), True
+def _report_bytes(rep: report.DecompositionReport) -> bytes:
+    """The bytes a report contributes to its digest."""
     blob = json.dumps(rep.to_dict(), sort_keys=True).encode() + rep.render_text().encode()
-    blob += rep.gram.tobytes() + b"".join(part.tensor.components.tobytes() for part in rep.parts)
-    return blob, False
+    return blob + rep.gram.tobytes() + b"".join(p.tensor.components.tobytes() for p in rep.parts)
+
+
+def _value_bytes(value) -> bytes:
+    """The bytes of a public call's result: arrays, tags and floats, in field
+    order; the metric a result carries is the one it was called with."""
+    if isinstance(value, Metric):
+        return b""
+    if dataclasses.is_dataclass(value):
+        return b"".join(_value_bytes(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, (list, tuple)):
+        return b"".join(map(_value_bytes, value))
+    if isinstance(value, np.ndarray):
+        return value.tobytes()
+    return repr(value).encode()
+
+
+def _piezo(x, metric):
+    return constitutive.piezo_decompose(constitutive.PiezoTensor(_input(x, "piezo")), metric)
+
+
+def _hall(x, metric):
+    return constitutive.hall_decompose(constitutive.HallTensor(_input(x, "hall")), metric)
+
+
+#: every digested public call of one corpus tensor's components and metric
+PUBLIC_CALLS = {
+    "gl3.decompose": lambda x, metric: [gl3.decompose(Tensor3(x), f) for f in FAMILIES],
+    "o3.decompose": lambda x, metric: o3.decompose(Tensor3(x), metric),
+    "sl3.epsilon_contractions": lambda x, metric: sl3.epsilon_contractions(Tensor3(x)),
+    "sl3.pseudo_scalar": lambda x, metric: sl3.pseudo_scalar(Tensor3(x)),
+    "so3.so3_representation": lambda x, metric: so3.so3_representation(Tensor3(x), metric),
+    "so3.reassemble": lambda x, metric: so3.reassemble(
+        so3.so3_representation(Tensor3(x), metric), metric),
+    "piezo_decompose": _piezo,
+    "piezo_parts_from_matrix": lambda x, metric: constitutive.piezo_parts_from_matrix(
+        _piezo(x, metric)),
+    "hall_decompose": _hall,
+    "hall_parts_from_matrix": lambda x, metric: constitutive.hall_parts_from_matrix(
+        _hall(x, metric)),
+}
+
+
+def _corpus_digest(blob_of, draws, metrics) -> tuple[int, str]:
+    """The number of corpus tensors ``blob_of(x, metric)`` rejects and the
+    digest of its bytes over the corpus; a rejection contributes its
+    exception type and message."""
+    digest, rejected = hashlib.sha256(), 0
+    for x, metric in zip(draws, metrics):
+        try:
+            digest.update(blob_of(x, metric))
+        except ValueError as error:
+            digest.update(f"{type(error).__name__}: {error}".encode())
+            rejected += 1
+    return rejected, digest.hexdigest()
+
+
+def _sha(blob: bytes) -> str:
+    return hashlib.sha256(blob).hexdigest()
 
 
 def main() -> int:
@@ -70,15 +138,25 @@ def main() -> int:
     rng = np.random.default_rng(SEED)
     draws = [rng.uniform(-1.0, 1.0, (3, 3, 3)) * 10.0 ** rng.uniform(-150.0, 150.0)
              for _ in range(DRAWS)]
+    metrics = [METRICS[index % len(METRICS)] for index in range(DRAWS)]
     for level, family, mode in SHAPES:
-        digest, rejected = hashlib.sha256(), 0
-        for index, x in enumerate(draws):
-            blob, failed = _report_bytes(_input(x, mode), level, family, mode,
-                                         METRICS[index % len(METRICS)])
-            digest.update(blob)
-            rejected += failed
+        rejected, digest = _corpus_digest(
+            lambda x, metric: _report_bytes(
+                report.build_report(_input(x, mode), level, family, mode, metric)),
+            draws, metrics)
         name = mode if mode != "generic" else "/".join(filter(None, (level, family)))
-        print(f"{name:<10} {DRAWS} reports, {rejected:>3} rejected  {digest.hexdigest()}")
+        print(f"{name:<10} {DRAWS} reports, {rejected:>3} rejected  {digest}")
+    for seed in SELF_CHECK_SEEDS:
+        check = json.dumps(oracle.self_check(seed), sort_keys=True).encode()
+        print(f"{f'self_check/{seed}':<32} {_sha(check)}")
+    for name in parts.PARTS:
+        # the unscaled Euclidean, diagonal and SPD metrics
+        matrices = b"".join(parts.operator(name, m).tobytes() for m in METRICS[::3])
+        print(f"{f'operator/{name}':<32} {_sha(matrices)}")
+    for name, call in PUBLIC_CALLS.items():
+        rejected, digest = _corpus_digest(
+            lambda x, metric: _value_bytes(call(x, metric)), draws, metrics)
+        print(f"{name:<24} {DRAWS} calls, {rejected:>3} rejected  {digest}")
     return 0
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import parts
-from .sl3 import contraction, halves, pseudo_scalar_of, rebuild
+from .sl3 import contraction, halves, pseudo_scalars, rebuild
 from .symmetrizers import defects
 from .tensor import (
     EUCLIDEAN,
@@ -224,7 +224,7 @@ def hall_decompose(h: HallTensor, metric: Metric = EUCLIDEAN) -> HallParts:
         n=tensor(n),
         m_part=tensor(m),
         p_part=tensor(p),
-        a_scalar=pseudo_scalar_of(x),
+        a_scalar=float(pseudo_scalars(x)),
         v_vec=Vector3(n_traces[1], "lower", t.parity),
         a_check=a_check,
         a_sym=a_sym,

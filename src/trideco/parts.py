@@ -16,16 +16,18 @@ that equal another part, which are that part's array.
 One table serves every reader, through compiled matrices.  Each part is
 linear and depends only on the metric, so ``basis_images(names, metric)``
 runs the walk once on the 27 stacked basis tensors and reads each named
-part's 27x27 matrix (27x9 for a ``<name>_traces`` entry) off the result.
-The walk starts from the basis images of the rules that read no metric,
-which are computed once per process, so a new metric runs only the rules
-that read it.  The library readers apply these matrices: the reports and
-the public decompositions of ``gl3``, ``o3``, ``so3`` and ``constitutive``
-each get their parts from ``apply(names, x, metric)``, one product of
-``x`` with the stack of the named matrices, which the metric compiles once
-and keeps read-only; so a report and a public call compute a part with the
-same arithmetic, and the stacks are all a metric keeps of the matrices.
-``operator(name, metric)`` is the matrix kept for ``(name,)``.  The
+part's 27x27 matrix (27x9 for a ``<name>_traces`` entry, 27x1 for the
+pseudo-scalar) off the result.  The walk starts from the basis images of
+the rules that read no metric, which are computed once per process, so a
+new metric runs only the rules that read it.  The library readers apply
+these matrices: the reports and the public decompositions of ``gl3``,
+``o3`` and ``constitutive`` each get their parts from ``apply(names, x,
+metric)``, one product of ``x`` with the stack of the named matrices, which
+the metric compiles once and keeps read-only; so a report and a public call
+compute a part with the same arithmetic, and the stacks are all a metric
+keeps of the matrices.  Every stack is C-contiguous, and
+``operator(name, metric)`` is row 0 of the one kept for ``(name,)``;
+``so3`` compiles its forward map from one ``basis_images`` walk.  The
 oracle's ``materialize`` returns it, and its ``agreements`` checks those
 matrices against the walk run on one drawn tensor at a time, where one
 ``evaluate`` of every part serves all of them.  A public function handed a
@@ -54,6 +56,12 @@ the mixed part.  The full symmetrizer absorbs the slot swap, so ``piezo_s``,
 ``hall_n`` refine their slice, which is itself a rule outside the ledger.
 Hall tensors carry lower indices, so their traces contract with the inverse
 metric and their pure-trace pieces are built from the metric itself.
+
+The volume element's invariants are rules outside the ledger too:
+``pseudo_scalar``, the full contraction with the alternating symbol, and
+``traceless_contractions``, the traceless a, b and c matrices of ``sl3``,
+of ranks 1 and 16: they see only the antisymmetric and the mixed part.
+Neither reads the metric, so both are in the once-per-process seed.
 """
 
 from __future__ import annotations
@@ -63,6 +71,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .sl3 import pseudo_scalars, traceless_contractions
 from .symmetrizers import _SLOT_ACTION, FULL_ANTISYMMETRIZER, FULL_SYMMETRIZER, MIXED_PAIRS
 from .tensor import Metric
 
@@ -204,9 +213,11 @@ PARTS: dict[str, Part] = {
 #: the upper-variance parts that have a trace part, and its dimension
 _TRACED = {"symmetric": 3, "residue": 6, "n1_plain": 3, "n2_plain": 3, "piezo_n": 3}
 
-#: the ledger's parts, the two slices the piezo and Hall parts refine, and
-#: the stacked traces of each part that has a trace part; their ``dim`` is
-#: the rank of the traces, the dimension of the trace part
+#: the ledger's parts and the rules outside it: the two slices the piezo and
+#: Hall parts refine, the stacked traces of each part that has a trace part
+#: (their ``dim`` is the rank of the traces, the dimension of the trace
+#: part), and the volume element's pseudo-scalar and traceless a, b and c
+#: matrices (their ``dim`` is their rank)
 _RULES: dict[str, Part] = {
     **PARTS,
     **{
@@ -216,6 +227,8 @@ _RULES: dict[str, Part] = {
     "hall_n_traces": Part(3, ("hall_n",), lambda n, metric: traces(n, metric.g_inv)),
     "pair_symmetric": Part(18, ("identity",), lambda x, metric: pair_symmetric(x)),
     "pair_antisymmetric": Part(9, ("identity",), lambda x, metric: pair_antisymmetric(x)),
+    "pseudo_scalar": Part(1, ("identity",), lambda x, metric: pseudo_scalars(x)),
+    "traceless_contractions": Part(16, ("identity",), lambda x, metric: traceless_contractions(x)),
 }
 
 
@@ -249,8 +262,10 @@ def _reads_metric(name: str) -> bool:
 #: the parts whose operators are the same for every metric
 _METRIC_FREE = frozenset(name for name in _RULES if not _reads_metric(name))
 
-#: the value of each rule on one tensor: traces or components
+#: the value of each rule on one tensor: traces, components, the three
+#: contraction matrices or the pseudo-scalar
 _SHAPES = {name: (3, 3) if name.endswith("_traces") else (3, 3, 3) for name in _RULES}
+_SHAPES["pseudo_scalar"] = ()
 
 
 @functools.cache
@@ -280,10 +295,10 @@ def operator(name: str, metric: Metric) -> np.ndarray:
 
     ``x.reshape(27) @ operator(name, metric)`` is the part of ``x``,
     flattened; row ``c`` is the part of basis tensor ``c``.  The matrix is
-    27x27, or 27x9 for a ``<name>_traces`` entry; it is what ``apply``
-    keeps for ``(name,)``.
+    27x27, 27x9 for a ``<name>_traces`` entry and 27x1 for the
+    pseudo-scalar; it is row 0 of the stack ``apply`` keeps for ``(name,)``.
     """
-    return _stack((name,), metric)
+    return _stack((name,), metric)[0]
 
 
 def _stack(names: tuple[str, ...], metric: Metric) -> np.ndarray:
@@ -291,11 +306,7 @@ def _stack(names: tuple[str, ...], metric: Metric) -> np.ndarray:
 
 
 def _compile_stack(names: tuple[str, ...], metric: Metric) -> np.ndarray:
-    matrices = basis_images(names, metric)
-    # one name keeps the walk's own array: a copy would change its memory
-    # layout (the trace parts come out column-major), and with it how BLAS
-    # rounds the oracle's products with it
-    return matrices[0] if len(names) == 1 else np.array(matrices)
+    return np.array(basis_images(names, metric))
 
 
 def apply(names: tuple[str, ...], x: np.ndarray, metric: Metric) -> np.ndarray:

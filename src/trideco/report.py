@@ -23,7 +23,7 @@ import numpy as np
 
 from . import gl3, parts
 from .constitutive import HallTensor, PiezoTensor
-from .sl3 import pseudo_scalar_of
+from .sl3 import pseudo_scalars
 from .symmetrizers import defects
 from .tensor import EUCLIDEAN, Metric, Tensor3, TensorError, gram, max_abs, require_upper
 
@@ -239,5 +239,5 @@ def build_report(
         parts=entries,
         gram=full[:-1, :-1],
         residual=max_abs(x - arrays[:count].sum(axis=0)),
-        pseudo_scalar=pseudo_scalar_of(x) if shape in _PSEUDO_SCALAR_SHAPES else None,
+        pseudo_scalar=float(pseudo_scalars(x)) if shape in _PSEUDO_SCALAR_SHAPES else None,
     )

@@ -17,6 +17,12 @@ hold the library's contractions with the alternating symbol, and ``halves``
 its one split of a matrix into symmetric and skew halves; ``so3`` and
 ``constitutive`` call them with their own weights and matrices.  ``rebuild``
 is the one constructor of a tensor from a matrix, and applies the rule.
+
+Each invariant of this layer is written once, on arrays with leading batch
+axes: ``pseudo_scalars`` and ``traceless_contractions``, the a, b and c
+matrices less twice the pseudo-scalar times the identity, which
+``epsilon_contractions`` shares.  The part table (``parts``) holds both as
+rules, so the so3 forward map reads their compiled matrices.
 """
 
 from __future__ import annotations
@@ -103,27 +109,27 @@ def epsilon_tensor(variance: str = "upper") -> Tensor3:
 def pseudo_scalar(t: Tensor3) -> float:
     """Full contraction with the alternating symbol, normalized to 1 on it."""
     require_upper(t, "pseudo_scalar")
-    return pseudo_scalar_of(t.components)
-
-
-def pseudo_scalar_of(components: np.ndarray) -> float:
-    """``pseudo_scalar`` of raw components; the alternating symbol's entries
-    are the same for either variance."""
-    return float(pseudo_scalars(components))
+    return float(pseudo_scalars(t.components))
 
 
 def pseudo_scalars(x: np.ndarray) -> np.ndarray:
-    """``pseudo_scalar_of`` each tensor of ``x``; leading axes are batch axes."""
+    """The pseudo-scalar of each tensor of ``x``; leading axes are batch axes,
+    and the alternating symbol's entries are the same for either variance."""
     return np.einsum("ijk,...ijk->...", EPSILON, x) / 6.0
 
 
-def traceless_contractions(x: np.ndarray) -> np.ndarray:
-    """The a, b and c contraction matrices of ``x`` less twice its
-    pseudo-scalar times the identity, the traceless forms of
-    ``epsilon_contractions``, stacked as ``(..., 3, 3, 3)``; leading axes
-    are batch axes."""
+def _contractions(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The a, b and c contraction matrices of ``x``, stacked as ``(..., 3, 3,
+    3)``, and their traceless forms: each less twice the pseudo-scalar times
+    the identity."""
     raw = np.stack([contraction(x, key) for key in _CONTRACTION], axis=-3)
-    return raw - 2.0 * pseudo_scalars(x)[..., None, None, None] * np.eye(3)
+    return raw, raw - 2.0 * pseudo_scalars(x)[..., None, None, None] * np.eye(3)
+
+
+def traceless_contractions(x: np.ndarray) -> np.ndarray:
+    """The traceless a, b and c matrices of ``epsilon_contractions``, stacked
+    as ``(..., 3, 3, 3)``; leading axes are batch axes."""
+    return _contractions(x)[1]
 
 
 @dataclass(frozen=True)
@@ -146,21 +152,10 @@ class Sl3Parts:
 
 def epsilon_contractions(t: Tensor3) -> Sl3Parts:
     require_upper(t, "epsilon_contractions")
-    a_scalar = pseudo_scalar(t)
     parity = (t.parity + 1) % 2
-    raw = {key: contraction(t.components, key) for key in _CONTRACTION}
-    shift = 2.0 * a_scalar * np.eye(3)
-    mats = {key: Tensor2(value, "lu", parity) for key, value in raw.items()}
-    checks = {key: Tensor2(value - shift, "lu", parity) for key, value in raw.items()}
-    return Sl3Parts(
-        a_scalar=a_scalar,
-        a_mat=mats["a"],
-        b_mat=mats["b"],
-        c_mat=mats["c"],
-        a_check=checks["a"],
-        b_check=checks["b"],
-        c_check=checks["c"],
-    )
+    raw, checks = _contractions(t.components)
+    return Sl3Parts(float(pseudo_scalars(t.components)),
+                    *(Tensor2(value, "lu", parity) for value in (*raw, *checks)))
 
 
 def require_traceless(mats: np.ndarray, what: str, scale: float) -> None:

@@ -29,14 +29,15 @@ Each map is written once, as array functions with leading batch axes:
 symmetric halves and vectors, and ``_lowered`` writes a (matrix, vector)
 pair back as the lowered matrix ``sl3`` rebuilds a mixed component from.
 ``so3_split``, ``first_component_from`` and ``second_component_from`` apply
-them to one tensor's values; compiling applies them to the 27 basis tensors
-and the 55 unit representations.  The images that read no metric (the
-pseudo-scalars and traceless matrices of the basis tensors, the lowered
-matrices of the unit representations and the mixed components of the unit
-matrices) are computed once per process, so compiling for a new metric
-multiplies them by ``g`` or ``g_inv`` and takes the trace vector and the
-traceless remainder from one ``parts.basis_images`` walk.  Nothing is
-compiled at import.
+them to one tensor's values.  The forward matrix is one
+``parts.basis_images`` walk over the 27 basis tensors, for the trace vector,
+the traceless remainder, the pseudo-scalar and the traceless contraction
+matrices, whose b and c rows ``_split`` lowers with ``g``.  The reassembly
+matrix applies ``_lowered`` to the 55 unit representations; its images that
+read no metric (the lowered matrices of the unit mixed-part inputs and the
+mixed components rebuilt from the unit matrices) are computed once per
+process, so compiling it for a new metric multiplies them by ``g_inv``.
+Nothing is compiled at import.
 """
 
 from __future__ import annotations
@@ -164,40 +165,38 @@ class So3Representation:
 
 
 @functools.cache
-def _metric_free() -> tuple[np.ndarray, ...]:
-    """What the compiled maps are built from that no metric changes,
-    computed on first use: the pseudo-scalars and the traceless b and c
-    matrices of the 27 basis tensors, the lowered matrices of the 24 unit
-    mixed-part inputs (e_mat, beta, f_mat and gamma, stacked over the two
-    components), and the first and second mixed components rebuilt from the
-    9 unit matrices, as one 18x27 matrix."""
-    basis = np.eye(27).reshape(27, 3, 3, 3)
+def _unit_images() -> tuple[np.ndarray, np.ndarray]:
+    """What the reassembly matrix is built from that no metric changes,
+    computed on first use: the lowered matrices of the 24 unit mixed-part
+    inputs (e_mat, beta, f_mat and gamma, stacked over the two components),
+    and the first and second mixed components rebuilt from the 9 unit
+    matrices, as one 18x27 matrix."""
     units = np.eye(9).reshape(9, 3, 3)
     sym, vec = np.zeros((24, 2, 3, 3)), np.zeros((24, 2, 3))
     sym[:9, 0], vec[9:12, 0], sym[12:21, 1], vec[21:, 1] = units, np.eye(3), units, np.eye(3)
     rebuilt = [sl3.from_matrix(units, w).reshape(9, 27) for w in (sl3.N1_WEIGHTS,
                                                                    sl3.N2_WEIGHTS)]
-    images = (sl3.pseudo_scalars(basis), sl3.traceless_contractions(basis)[:, 1:],
-              _lowered(sym, _SKEW_COEFFS, vec), np.concatenate(rebuilt))
+    images = (_lowered(sym, _SKEW_COEFFS, vec), np.concatenate(rebuilt))
     for image in images:
         image.setflags(write=False)
     return images
 
 
 def _compile_forward(metric: Metric) -> np.ndarray:
-    a_scalars, checks, _, _ = _metric_free()
-    sym, vec = _split(checks, metric.g)
-    s_traces, r_part = parts.basis_images(("symmetric_traces", "r_part"), metric)
+    s_traces, r_part, a_scalars, contractions = parts.basis_images(
+        ("symmetric_traces", "r_part", "pseudo_scalar", "traceless_contractions"), metric)
+    # the traceless b and c matrices of each basis tensor
+    sym, vec = _split(contractions[:, 9:].reshape(27, 2, 3, 3), metric.g)
     return np.concatenate([
         s_traces[:, :3],
         r_part,
-        a_scalars[:, None],
+        a_scalars,
         sym[:, 0].reshape(27, 9), vec[:, 0], sym[:, 1].reshape(27, 9), vec[:, 1],
     ], axis=1)
 
 
 def _compile_reassembly(metric: Metric) -> np.ndarray:
-    _, _, lowered, rebuilt = _metric_free()
+    lowered, rebuilt = _unit_images()
     # a fully symmetric tensor has the same trace alpha over every pair
     pure_traces = parts.from_traces(np.broadcast_to(np.eye(3)[:, None, :], (3, 3, 3)),
                                     metric.g_inv)

@@ -357,7 +357,7 @@ def test_importing_the_package_compiles_nothing():
     code = ("import trideco, trideco.cli\n"
             "from trideco import parts, so3\n"
             "print(len(trideco.EUCLIDEAN._cache), parts._free_images.cache_info().currsize, "
-            "so3._metric_free.cache_info().currsize)")
+            "so3._unit_images.cache_info().currsize)")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trideco import constitutive, gl3, o3, parts, report, so3
+from trideco import constitutive, gl3, o3, oracle, parts, report, so3
 from trideco.parts import PARTS
 from trideco.permutations import S3
 from trideco.symmetrizers import MIXED_PAIRS, GroupAlgebraElement
@@ -166,24 +166,46 @@ def test_compiling_runs_each_rule_once(monkeypatch):
         parts._free_images.cache_clear()
     assert sorted(parts._METRIC_FREE) == sorted(
         ["identity", "symmetric", "antisymmetric", "residue", "pair_symmetric",
-         "pair_antisymmetric", "piezo_s", "piezo_n", "hall_a", "hall_n"]
+         "pair_antisymmetric", "piezo_s", "piezo_n", "hall_a", "hall_n", "pseudo_scalar",
+         "traceless_contractions"]
         + [f"n{member}_{family}" for family in MIXED_PAIRS for member in (1, 2)]
     )
 
 
 def test_operators_are_read_only_and_kept_per_metric():
     first, second = _random_spd_metric(4), _random_spd_metric(4)
+    widths = {"pseudo_scalar": 1}
     for name in parts._RULES:
         matrix = parts.operator(name, first)
-        assert matrix.shape == ((27, 9) if name.endswith("_traces") else (27, 27))
+        assert matrix.shape == (27, 9 if name.endswith("_traces") else widths.get(name, 27))
         assert not matrix.flags.writeable
-        assert parts.operator(name, first) is matrix
+        # every operator is row 0 of the stack its metric keeps for ``(name,)``
+        assert matrix.base is parts._stack((name,), first) is first._cache[name,]
+        assert np.array_equal(parts.operator(name, first), matrix)
         # each metric keeps its own stacks, the same matrices for equal metrics
         assert np.array_equal(parts.operator(name, second), matrix)
     stack = parts.apply(("k_part", "r_part"), np.zeros((3, 3, 3)), first)
     assert stack.shape == (2, 3, 3, 3)
     assert not first._cache["k_part", "r_part"].flags.writeable
     assert parts._stack(("k_part", "r_part"), first) is first._cache["k_part", "r_part"]
+
+
+@pytest.mark.parametrize("metric", ALL_METRICS, ids=METRIC_IDS)
+def test_every_operator_is_c_contiguous(metric):
+    # one memory layout for every compiled operator, the trace parts included,
+    # so how BLAS rounds a product with one does not depend on its part
+    for name in parts._RULES:
+        assert parts.operator(name, metric).flags.c_contiguous, name
+
+
+@pytest.mark.parametrize("metric", ALL_METRICS, ids=METRIC_IDS)
+def test_the_volume_element_invariants_have_their_ranks(metric):
+    # the pseudo-scalar spans the antisymmetric part, the traceless a, b and c
+    # matrices the 16-dimensional mixed part
+    for name, expected in (("pseudo_scalar", 1), ("traceless_contractions", 16)):
+        matrix = parts.operator(name, metric)
+        assert oracle.rank(oracle.LinearMap27(matrix.T, name)) == expected
+        assert parts._RULES[name].dim == expected
 
 
 def _compiled_and_walked(x, metric):

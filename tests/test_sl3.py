@@ -101,6 +101,12 @@ class TestContractions:
         for name in ("a_check", "b_check", "c_check"):
             assert getattr(full, name).allclose(getattr(from_mixed, name), 1e-13)
 
+    def test_check_matrices_are_the_traceless_contractions(self, rng):
+        t = rand_tensor(rng)
+        parts = sl3.epsilon_contractions(t)
+        stacked = np.stack([m.components for m in (parts.a_check, parts.b_check, parts.c_check)])
+        assert np.array_equal(stacked, sl3.traceless_contractions(t.components))
+
     def test_parity_tags(self, rng):
         parts = sl3.epsilon_contractions(rand_tensor(rng))
         assert parts.b_check.parity == 1

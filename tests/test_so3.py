@@ -30,6 +30,9 @@ from helpers import (
 
 DIAG_METRIC = Metric(np.diag([2.0, 1.0, 1.0]))
 SPD_METRIC = Metric(np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]]))
+_A = np.random.default_rng(7).uniform(-1.0, 1.0, (3, 3))
+_G = _A @ _A.T + np.eye(3)
+RANDOM_SPD_METRIC = Metric((_G + _G.T) / 2.0)
 METRICS = [EUCLIDEAN, DIAG_METRIC]
 METRIC_IDS = ["euclid", "diag211"]
 
@@ -285,6 +288,21 @@ class TestCompiledMaps:
         so3.so3_representation(Tensor3.zeros(), metric)
         assert metric._cache["so3 forward"] is forward
         assert np.abs(forward @ reassembly - np.eye(27)).max() <= 1e-15
+
+    @pytest.mark.parametrize("metric", [EUCLIDEAN, DIAG_METRIC, RANDOM_SPD_METRIC],
+                             ids=["euclid", "diag211", "random-spd"])
+    def test_forward_matrix_reads_the_volume_element_operators(self, metric):
+        # the a_scalar column is the pseudo-scalar operator, and the matrices
+        # and vectors are _split of the traceless b and c rows, bit for bit
+        forward = metric.compiled("so3 forward", so3._compile_forward, metric)
+        _, _, a_scalar, e_mat, beta, f_mat, gamma = (forward[:, span] for span in so3._SPANS)
+        assert np.array_equal(a_scalar, parts.operator("pseudo_scalar", metric))
+        checks = parts.operator("traceless_contractions", metric).reshape(27, 3, 3, 3)[:, 1:]
+        sym, vec = so3._split(checks, metric.g)
+        assert np.array_equal(e_mat, sym[:, 0].reshape(27, 9))
+        assert np.array_equal(beta, vec[:, 0])
+        assert np.array_equal(f_mat, sym[:, 1].reshape(27, 9))
+        assert np.array_equal(gamma, vec[:, 1])
 
     def test_a_warm_round_trip_contracts_nothing(self, rng, monkeypatch):
         t = unit_tensor(rng)

@@ -311,8 +311,14 @@ def test_report_digest_runs_the_same_twice():
         for _ in range(2)
     ]
     assert runs[0] == runs[1]
-    source, *shapes = runs[0].splitlines()
+    source, *lines = runs[0].splitlines()
     assert Path(source).resolve() == (ROOT / "src/trideco/__init__.py").resolve()
-    assert len(shapes) == 9
-    assert all(re.fullmatch(r"\S+ +300 reports, +\d+ rejected  [0-9a-f]{64}", line)
-               for line in shapes)
+    # report shapes, self-checks, operators and public calls, in that order
+    patterns = ((9, r"\S+ +300 reports, +\d+ rejected  [0-9a-f]{64}"),
+                (3, r"self_check/\d+ +[0-9a-f]{64}"),
+                (len(parts.PARTS), r"operator/\w+ +[0-9a-f]{64}"),
+                (10, r"\S+ +300 calls, +\d+ rejected  [0-9a-f]{64}"))
+    assert len(lines) == sum(count for count, _ in patterns)
+    for count, pattern in patterns:
+        assert all(re.fullmatch(pattern, line) for line in lines[:count]), pattern
+        lines = lines[count:]
