@@ -9,15 +9,18 @@ imported from, so two trees can be compared by running the script under
 each's ``PYTHONPATH``: equal lines mean byte-identical results.  Then:
 
 - one line per report shape (gl3 with no family and with each of the
-  three, o3, sl3, so3, piezo and Hall), over each corpus tensor's report:
+  three, o3, sl3, so3, piezo and Hall) and base metric (``euclid``,
+  ``diag211`` or ``spd``, each at its three scales), over the report of
+  each corpus tensor taken under that metric:
   its ``to_dict()`` JSON, its ``render_text()``, its ``gram`` bytes and its
   parts' component bytes;
 - ``self_check/<seed>`` for seeds 0, 1 and 12345: the JSON of
   ``oracle.self_check(seed)`` with sorted keys;
-- ``operator/<name>`` for every part in ``parts.PARTS``: the bytes of
-  ``parts.operator(name, m)`` under the three unscaled metrics;
-- one line per public call on the corpus (``gl3.decompose`` in every
-  family, ``o3.decompose``, the sl3 contractions and pseudo-scalar, the so3
+- ``operator/<name>/<base>`` for every part in ``parts.PARTS``: the bytes
+  of ``parts.operator(name, m)`` under each unscaled base metric;
+- one line per public call on the corpus and base metric
+  (``gl3.decompose`` in every family, ``o3.decompose``, the sl3
+  contractions and pseudo-scalar, the so3
   representation and its reassembly, and the piezo and Hall decompositions
   and the parts they rebuild from their matrices): the bytes, tags and
   floats of each result.
@@ -115,18 +118,25 @@ PUBLIC_CALLS = {
 }
 
 
-def _corpus_digest(blob_of, draws, metrics) -> tuple[int, str]:
-    """The number of corpus tensors ``blob_of(x, metric)`` rejects and the
-    digest of its bytes over the corpus; a rejection contributes its
-    exception type and message."""
-    digest, rejected = hashlib.sha256(), 0
-    for x, metric in zip(draws, metrics):
+#: the name of each base metric, whose three scalings share one line
+BASE_NAMES = ("euclid", "diag211", "spd")
+
+
+def _corpus_digests(blob_of, draws, metrics) -> dict[str, tuple[int, int, str]]:
+    """Per base metric: the number of corpus tensors taken under it, how
+    many of them ``blob_of(x, metric)`` rejects and the digest of its bytes
+    over them; a rejection contributes its exception type and message."""
+    found = {name: [0, 0, hashlib.sha256()] for name in BASE_NAMES}
+    for index, (x, metric) in enumerate(zip(draws, metrics)):
+        entry = found[BASE_NAMES[index % len(METRICS) // 3]]
+        entry[0] += 1
         try:
-            digest.update(blob_of(x, metric))
+            entry[2].update(blob_of(x, metric))
         except ValueError as error:
-            digest.update(f"{type(error).__name__}: {error}".encode())
-            rejected += 1
-    return rejected, digest.hexdigest()
+            entry[2].update(f"{type(error).__name__}: {error}".encode())
+            entry[1] += 1
+    return {name: (count, rejected, digest.hexdigest())
+            for name, (count, rejected, digest) in found.items()}
 
 
 def _sha(blob: bytes) -> str:
@@ -140,23 +150,25 @@ def main() -> int:
              for _ in range(DRAWS)]
     metrics = [METRICS[index % len(METRICS)] for index in range(DRAWS)]
     for level, family, mode in SHAPES:
-        rejected, digest = _corpus_digest(
+        digests = _corpus_digests(
             lambda x, metric: _report_bytes(
                 report.build_report(_input(x, mode), level, family, mode, metric)),
             draws, metrics)
         name = mode if mode != "generic" else "/".join(filter(None, (level, family)))
-        print(f"{name:<10} {DRAWS} reports, {rejected:>3} rejected  {digest}")
+        for base, (count, rejected, digest) in digests.items():
+            print(f"{f'{name}/{base}':<18} {count} reports, {rejected:>3} rejected  {digest}")
     for seed in SELF_CHECK_SEEDS:
         check = json.dumps(oracle.self_check(seed), sort_keys=True).encode()
-        print(f"{f'self_check/{seed}':<32} {_sha(check)}")
+        print(f"{f'self_check/{seed}':<40} {_sha(check)}")
     for name in parts.PARTS:
         # the unscaled Euclidean, diagonal and SPD metrics
-        matrices = b"".join(parts.operator(name, m).tobytes() for m in METRICS[::3])
-        print(f"{f'operator/{name}':<32} {_sha(matrices)}")
+        for base, metric in zip(BASE_NAMES, METRICS[::3]):
+            matrix = parts.operator(name, metric)
+            print(f"{f'operator/{name}/{base}':<40} {_sha(matrix.tobytes())}")
     for name, call in PUBLIC_CALLS.items():
-        rejected, digest = _corpus_digest(
-            lambda x, metric: _value_bytes(call(x, metric)), draws, metrics)
-        print(f"{name:<24} {DRAWS} calls, {rejected:>3} rejected  {digest}")
+        digests = _corpus_digests(lambda x, metric: _value_bytes(call(x, metric)), draws, metrics)
+        for base, (count, rejected, digest) in digests.items():
+            print(f"{f'{name}/{base}':<32} {count} calls, {rejected:>3} rejected  {digest}")
     return 0
 
 

@@ -20,10 +20,8 @@ from .tensor import (
     Metric,
     SymmetryError,
     Tensor3,
-    VarianceError,
     Vector3,
-    gram,
-    max_abs,
+    gram_of,
     require_upper,
 )
 
@@ -119,15 +117,9 @@ def n_family_trace_split(
 
 def orthogonality_matrix(parts, metric: Metric = EUCLIDEAN) -> np.ndarray:
     """Gram matrix of scalar products between the given tensors, from
-    ``tensor.gram``."""
+    ``tensor.gram_of``."""
     parts = list(parts)
-    if not parts:
-        return np.zeros((0, 0))
-    if any(t.variance != parts[0].variance for t in parts):
-        raise VarianceError("scalar product requires equal variance")
-    rows = np.array([t.components for t in parts]).reshape(len(parts), 27)
-    scaled, exponent = gram(rows, max_abs(rows), parts[0].variance, metric)
-    return np.ldexp(scaled, exponent)
+    return np.ldexp(*gram_of(parts, metric)) if parts else np.zeros((0, 0))
 
 
 @dataclass(frozen=True)

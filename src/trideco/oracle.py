@@ -4,11 +4,13 @@ Every decomposition map in this package is linear on the 27-dimensional
 component space, so each one can be materialized as an explicit 27x27 matrix
 by evaluating it, as a black box, on the standard basis.  The maps are the
 parts of ``parts.PARTS``: ``materialize`` returns the part's compiled
-operator, which one walk of the rules on the 27 stacked basis tensors
-computed and the metric keeps, and the dimension ledger is the table's
-dimensions.  ``agreements`` checks those matrices against the rule walk,
-one ``parts.evaluate`` of every part per drawn tensor.  Ranks of those
-matrices check the ledger, matrix algebra checks idempotence and
+operator, the Euclidean matrix of one walk of the rules on the 27 stacked
+basis tensors, conjugated by the metric's whitening if the part reads the
+metric, and the dimension ledger is the table's dimensions.
+``agreements`` checks those matrices against the rule walk under the
+metric itself, one ``parts.evaluate`` of every part per drawn tensor: the
+one place the rules run under a metric other than the Euclidean one.
+Ranks of those matrices check the ledger, matrix algebra checks idempotence and
 complementarity, and least-squares solves, built over the 27 stacked basis
 tensors, recover the closed-form coefficients the package ships: the
 reconstruction weights, the skew-half constants of the so3, piezo and Hall
@@ -82,8 +84,9 @@ def operator_names() -> tuple[str, ...]:
 
 def materialize(op_name: str, metric: Metric = EUCLIDEAN) -> LinearMap27:
     """The 27x27 matrix of a named part; column ``c`` is its image of basis
-    tensor ``c``.  It is the transpose of ``parts.operator``, which one walk
-    of the rules computed on the 27 stacked basis tensors."""
+    tensor ``c``.  It is the transpose of ``parts.operator``, the Euclidean
+    matrix, conjugated by the metric's whitening if the part reads the
+    metric."""
     if op_name not in PARTS:
         raise KeyError(f"unknown operator {op_name!r}")
     return LinearMap27(matrix=operator(op_name, metric).T, label=op_name)

@@ -13,29 +13,37 @@ part is linear in ``x``, takes the metric verbatim and is a new array of
 the same shape, except ``identity``, which is ``x`` itself, and the parts
 that equal another part, which are that part's array.
 
-One table serves every reader, through compiled matrices.  Each part is
-linear and depends only on the metric, so ``basis_images(names, metric)``
-runs the walk once on the 27 stacked basis tensors and reads each named
-part's 27x27 matrix (27x9 for a ``<name>_traces`` entry, 27x1 for the
-pseudo-scalar) off the result.  The walk starts from the basis images of
-the rules that read no metric, which are computed once per process, so a
-new metric runs only the rules that read it.  The library readers apply
-these matrices: the reports and the public decompositions of ``gl3``,
-``o3`` and ``constitutive`` each get their parts from ``apply(names, x,
-metric)``, one product of ``x`` with the stack of the named matrices, which
-the metric compiles once and keeps read-only; so a report and a public call
-compute a part with the same arithmetic, and the stacks are all a metric
-keeps of the matrices.  Every stack is C-contiguous, and
-``operator(name, metric)`` is row 0 of the one kept for ``(name,)``;
-``so3`` compiles its forward map from one ``basis_images`` walk.  The
-oracle's ``materialize`` returns it, and its ``agreements`` checks those
-matrices against the walk run on one drawn tensor at a time, where one
-``evaluate`` of every part serves all of them.  A public function handed a
-part already split (``o3.s_trace_split`` and its siblings) applies the
-trace kernels below to it.  The oracle's least-squares solves never
-evaluate the rules: they apply the kernels ``symmetric``,
-``antisymmetric``, ``residue`` and ``mixed``, which read no table, to the
-27 stacked basis tensors.
+One table serves every reader, through compiled matrices, and a metric is
+a change of basis.  Each part is linear, so ``whitened`` compiles a stack
+of named parts with one walk under the Euclidean metric on the 27 stacked
+basis tensors, which reads each named part's 27x27 matrix (27x9 for a
+``<name>_traces`` entry, 27x1 for the pseudo-scalar) off the result;
+``EUCLIDEAN`` compiles each stack once per process and keeps it read-only
+and C-contiguous.  Any other metric reads the same stacks through its
+Cholesky factor (``Metric.whitening``), which makes the metric the
+identity: ``whitened(names, x, metric)`` multiplies ``x`` with the factor
+on every slot by the Euclidean stack, which by covariance gives the
+metric's parts whitened, and returns them with the parts in the
+coordinates of ``x``.  There the rules that read the metric map their
+whitened values back by their law (``_LAWS``, next to ``_SHAPES``): a
+tensor of the variance they read, or three trace vectors.  The other
+rules read no metric, and ``x`` times their Euclidean matrices is their
+value under every metric.  Only the oracle's ``agreements`` runs the rules
+under another metric.  The library readers apply these matrices: the
+reports and the public decompositions of ``gl3``, ``o3`` and
+``constitutive`` each get their parts from ``apply(names, x, metric)``, the
+values of ``whitened``, so a report and a public call compute a part with
+the same arithmetic; a report also takes its Gram matrix from the whitened
+parts, where the metric products are plain ones.  ``operator(name,
+metric)`` is the part held as a matrix, computed on each call: the oracle's
+``materialize`` returns it, and its ``agreements`` checks those matrices
+against the walk run on one drawn tensor at a time, where one ``evaluate``
+of every part serves all of them.  ``so3`` compiles its forward map from
+``operator`` too.  A public function handed a part already split
+(``o3.s_trace_split`` and its siblings) applies the trace kernels below to
+it.  The oracle's least-squares solves never evaluate the rules: they
+apply the kernels ``symmetric``, ``antisymmetric``, ``residue`` and
+``mixed``, which read no table, to the 27 stacked basis tensors.
 
 Every trace part is one projection.  A pure-trace tensor holds a vector in
 one slot and the inverse metric on the other two; ``traces(x, m)`` stacks
@@ -61,19 +69,20 @@ The volume element's invariants are rules outside the ledger too:
 ``pseudo_scalar``, the full contraction with the alternating symbol, and
 ``traceless_contractions``, the traceless a, b and c matrices of ``sl3``,
 of ranks 1 and 16: they see only the antisymmetric and the mixed part.
-Neither reads the metric, so both are in the once-per-process seed.
+Neither reads the metric, so every metric applies their Euclidean
+matrices as they are, and neither is GL(3)-covariant, so neither has a
+law.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .sl3 import pseudo_scalars, traceless_contractions
 from .symmetrizers import _SLOT_ACTION, FULL_ANTISYMMETRIZER, FULL_SYMMETRIZER, MIXED_PAIRS
-from .tensor import Metric
+from .tensor import EUCLIDEAN, Metric
 
 #: rows of the identity, (23) and (132) slot actions: the first two slots of
 #: each gathered copy are the pair (1,2), (1,3) or (2,3) of the input
@@ -251,42 +260,67 @@ def _value(name: str, values: dict, metric: Metric) -> np.ndarray:
     return values[name]
 
 
-def _reads_metric(name: str) -> bool:
-    # only the ``<name>_traces`` rules contract with the metric; every other
-    # rule that reads it refines one of them
-    return name.endswith("_traces") or any(
-        _reads_metric(refined) for refined in _RULES[name].refines if refined != name
-    )
-
-
-#: the parts whose operators are the same for every metric
-_METRIC_FREE = frozenset(name for name in _RULES if not _reads_metric(name))
-
 #: the value of each rule on one tensor: traces, components, the three
 #: contraction matrices or the pseudo-scalar
 _SHAPES = {name: (3, 3) if name.endswith("_traces") else (3, 3, 3) for name in _RULES}
 _SHAPES["pseudo_scalar"] = ()
+#: how each rule's value changes with the basis, ``(variance, kind)``: the
+#: variance of the tensors whose metric the rule reads (the Hall rules read
+#: lower ones), and the field of ``Metric.whitening`` that maps its whitened
+#: value back, ``back`` for a tensor and ``vectors`` for three trace vectors.
+#: A tensor rule that reads no metric has no variance: it is GL(3)-covariant,
+#: so every metric applies its Euclidean matrix as it is.  The volume
+#: element's invariants read no metric either, but are not covariant, and
+#: have no law.
+# the rules that read the metric: the trace rules, the trace parts K and M
+# and their traceless rests R and P
+_LAWS = {name: (("lower" if name.startswith("hall_") else "upper")
+                if name.endswith(("_traces", "_part", "_k", "_m", "_r", "_p")) else None,
+                "vectors" if name.endswith("_traces") else "back") for name in _RULES}
+_LAWS.update(pseudo_scalar=None, traceless_contractions=None)
 
 
-@functools.cache
-def _free_images() -> dict[str, np.ndarray]:
-    """The read-only images of the 27 basis tensors under each rule in
-    ``_METRIC_FREE``, computed once per process on first use; every compile
-    walk starts from a copy."""
+def _compile(names: tuple[str, ...]) -> tuple:
+    """The stack of the named rules' Euclidean matrices, from one walk over
+    the 27 stacked basis tensors, which of the rules read the metric, as a
+    mask on the stack or none, and the one law they share; a stack that
+    reads none is whitened as upper tensors.
+
+    Row ``c`` of each matrix is the rule's value on basis tensor ``c``,
+    flattened; the rules must have one width.
+    """
+    laws = [_LAWS[name] for name in names]
+    read = {law for law in laws if law and law[0]} or {("upper", "back")}
+    if len(read) > 1:
+        raise ValueError(f"the rules {names} read the metric by different laws")
     values = {"identity": np.eye(27).reshape(27, 3, 3, 3)}
-    for name in _METRIC_FREE:
-        _value(name, values, None).setflags(write=False)
-    return values
+    stack = np.array([_value(name, values, EUCLIDEAN).reshape(27, -1) for name in names])
+    reads = np.array([law in read for law in laws])[:, None]
+    return stack, reads if reads.any() else None, *read
 
 
-def basis_images(names, metric: Metric) -> list[np.ndarray]:
-    """The named rules' matrices on flattened components, from one walk
-    over the 27 stacked basis tensors: row ``c`` of each is the rule's value
-    on basis tensor ``c``, flattened.  The walk starts from the images of
-    ``_free_images``, so it runs only the rules that read the metric, each
-    once."""
-    values = dict(_free_images())
-    return [_value(name, values, metric).reshape(27, -1) for name in names]
+def whitened(names: tuple[str, ...], x: np.ndarray, metric: Metric):
+    """``(rows, values, shift)``: the named parts of the flattened
+    components ``x``, of one tensor or of the 27 stacked basis tensors, in
+    the metric's whitened frame and in the coordinates of ``x``, each
+    stacked as ``(len(names), width)`` or ``(len(names), 27, width)``, and
+    the whitening's ``shift``.
+
+    ``rows`` is ``x @ forward``, which whitens ``x`` by the law of the named
+    rules that read the metric, times the stack of their Euclidean matrices,
+    which ``EUCLIDEAN`` compiles once per process and keeps.  Those rules'
+    values are their rows mapped back by their law; the others' are ``x``
+    times their matrices, as every metric applies them.  The rows of the
+    volume element's invariants, which are not covariant, mean nothing.
+    """
+    stack, reads, (variance, kind) = EUCLIDEAN.compiled(names, _compile, names)
+    frame = metric.whitening(variance)
+    # np.dot: these products are small, and it calls BLAS with less overhead
+    rows = np.dot(x, frame.forward) @ stack
+    values = x @ stack
+    if reads is not None:
+        np.copyto(values, np.dot(rows, getattr(frame, kind)), where=reads)
+    return rows, values, frame.shift
 
 
 def operator(name: str, metric: Metric) -> np.ndarray:
@@ -296,27 +330,21 @@ def operator(name: str, metric: Metric) -> np.ndarray:
     ``x.reshape(27) @ operator(name, metric)`` is the part of ``x``,
     flattened; row ``c`` is the part of basis tensor ``c``.  The matrix is
     27x27, 27x9 for a ``<name>_traces`` entry and 27x1 for the
-    pseudo-scalar; it is row 0 of the stack ``apply`` keeps for ``(name,)``.
+    pseudo-scalar: the values of ``whitened`` on the 27 basis tensors, so
+    the Euclidean one, conjugated by the metric's whitening if the rule
+    reads the metric, computed on each call.
     """
-    return _stack((name,), metric)[0]
-
-
-def _stack(names: tuple[str, ...], metric: Metric) -> np.ndarray:
-    return metric.compiled(names, _compile_stack, names, metric)
-
-
-def _compile_stack(names: tuple[str, ...], metric: Metric) -> np.ndarray:
-    return np.array(basis_images(names, metric))
+    matrix = whitened((name,), np.eye(27), metric)[1][0]
+    matrix.setflags(write=False)
+    return matrix
 
 
 def apply(names: tuple[str, ...], x: np.ndarray, metric: Metric) -> np.ndarray:
-    """The named parts of one tensor's components ``x``, stacked in one
-    product.
+    """The named parts of one tensor's components ``x``, stacked: the values
+    of ``whitened``.
 
     Entry ``i`` is ``x.reshape(27) @ operator(names[i], metric)``, shaped as
     the rule of ``names[i]`` returns it.  The named operators must have one
-    width; their stack, compiled by one walk of ``basis_images``, is kept
-    by the metric under ``names``.
+    width, and those that read the metric one law.
     """
-    stack = _stack(names, metric)
-    return np.matmul(x.reshape(27), stack).reshape((len(names),) + _SHAPES[names[0]])
+    return whitened(names, x.reshape(27), metric)[1].reshape((len(names),) + _SHAPES[names[0]])

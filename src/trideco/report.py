@@ -1,18 +1,29 @@
 """Decomposition reports: symmetry classification, part norms, Gram matrices.
 
-A report is one product: ``parts.apply`` multiplies the input by the
-stacked compiled operators of its parts and of the identity, which the
-metric compiles on the first report and keeps (``Metric.compiled``).  The
-parts and the input's own row form one block, and each part's tensor is a
-read-only view of its row.  The block's Gram matrix is ``tensor.gram``'s,
-the one metric product of the package, scaled by the power of two of the
-input's max-abs component: it gives every norm and share at any scale of
-the data and the metric, and is checked for finiteness once; the report's
-``gram`` is scaled back, and may underflow.  The symmetry class reads the
-four class defects of ``symmetrizers.defects``, relative to the same
-max-abs component, which the report reads once for the class and the
-scaling.  The JSON document and the text rendering both read the report's
-own fields, so both carry identical numbers.
+A report is one call of ``parts.whitened``: it puts the Cholesky factor of
+the metric on every slot of the input, where the metric is the identity,
+and multiplies by the Euclidean stack of the report's parts and of the
+identity, which ``EUCLIDEAN`` compiles on the first report of the shape and
+keeps.  The whitened parts and the input's own row form one block.  Its
+Gram matrix is ``tensor.gram``'s, a plain product scaled by the power of
+two of the input's max-abs component: it gives every norm, share and
+``gram`` entry at any scale of the data and the metric, at any condition
+number of the metric that ``Metric`` accepts (up to 1e10), and is checked
+for finiteness once; the report's ``gram`` is scaled back, and may
+underflow.  Each part's tensor is a read-only view of its value in the
+input's coordinates, the public calls' own: ``x`` times its matrix for a
+part that reads no metric, its whitened row mapped back for one that does.
+Those mapped back carry the rounding of that change of basis, which grows
+with the metric's condition number, and so does ``residual``,
+``max_abs(x - sum of parts)`` in the input's coordinates: on unit data
+under rotated metrics of condition 1e9 the parts are within about 2e-11
+of their size of a 60-digit reference, and ``residual`` reads up to about
+2e-6 on parts of size 2e8, while the norms, shares and ``gram`` hold to
+1e-14.  The symmetry class reads the four class defects of
+``symmetrizers.defects``, relative to the same max-abs component, which the
+report reads once for the class and the scaling.  The JSON document and
+the text rendering both read the report's own fields, so both carry
+identical numbers.
 """
 
 from __future__ import annotations
@@ -203,20 +214,19 @@ def build_report(
         family = "plain" if shape == "so3" else None
     named = REPORT_PARTS[shape, family]
     x = t.components
-    arrays = parts.apply(_OPERATORS[shape, family], x, metric)
-    arrays.setflags(write=False)
     count = len(named)
+    rows, values, shift = parts.whitened(_OPERATORS[shape, family], x.reshape(27), metric)
+    arrays = values[:count].reshape(count, 3, 3, 3)
+    arrays.setflags(write=False)
     size = max_abs(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled, exponent = gram(arrays.reshape(count + 1, 27), size, t.variance, metric)
+        scaled, exponent = gram(rows, size, shift)
         full = np.ldexp(scaled, exponent)
-    # the contraction is positive definite, so a part that overflowed leaves
-    # a non-finite diagonal entry too
+    # the product is positive definite, so a part that overflowed leaves a
+    # non-finite diagonal entry too
     if not np.isfinite(full).all():
-        raise TensorError(
-            "report overflows: the Gram matrix of the parts is not finite "
-            f"(max-abs component {size:.3e})"
-        )
+        raise TensorError("report overflows: the Gram matrix of the parts is not finite "
+                          f"(max-abs component {size:.3e})")
     scaled_norms = np.sqrt(np.maximum(scaled.diagonal(), 0.0))
     norms = np.ldexp(scaled_norms, exponent // 2)
     total_sq = scaled_norms[-1] ** 2
@@ -238,6 +248,6 @@ def build_report(
         },
         parts=entries,
         gram=full[:-1, :-1],
-        residual=max_abs(x - arrays[:count].sum(axis=0)),
+        residual=max_abs(x - arrays.sum(axis=0)),
         pseudo_scalar=float(pseudo_scalars(x)) if shape in _PSEUDO_SCALAR_SHAPES else None,
     )

@@ -118,18 +118,19 @@ def pseudo_scalars(x: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,...ijk->...", EPSILON, x) / 6.0
 
 
-def _contractions(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The a, b and c contraction matrices of ``x``, stacked as ``(..., 3, 3,
-    3)``, and their traceless forms: each less twice the pseudo-scalar times
-    the identity."""
+def _contractions(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pseudo-scalars of ``x``, its a, b and c contraction matrices,
+    stacked as ``(..., 3, 3, 3)``, and their traceless forms: each less
+    twice the pseudo-scalar times the identity."""
+    a_scalars = pseudo_scalars(x)
     raw = np.stack([contraction(x, key) for key in _CONTRACTION], axis=-3)
-    return raw, raw - 2.0 * pseudo_scalars(x)[..., None, None, None] * np.eye(3)
+    return a_scalars, raw, raw - 2.0 * a_scalars[..., None, None, None] * np.eye(3)
 
 
 def traceless_contractions(x: np.ndarray) -> np.ndarray:
     """The traceless a, b and c matrices of ``epsilon_contractions``, stacked
     as ``(..., 3, 3, 3)``; leading axes are batch axes."""
-    return _contractions(x)[1]
+    return _contractions(x)[2]
 
 
 @dataclass(frozen=True)
@@ -153,8 +154,8 @@ class Sl3Parts:
 def epsilon_contractions(t: Tensor3) -> Sl3Parts:
     require_upper(t, "epsilon_contractions")
     parity = (t.parity + 1) % 2
-    raw, checks = _contractions(t.components)
-    return Sl3Parts(float(pseudo_scalars(t.components)),
+    a_scalar, raw, checks = _contractions(t.components)
+    return Sl3Parts(float(a_scalar),
                     *(Tensor2(value, "lu", parity) for value in (*raw, *checks)))
 
 

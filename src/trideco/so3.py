@@ -22,22 +22,32 @@ reassembly matrix is its 55x27 inverse, and their product is the identity
 to within 1e-15.  ``so3_representation`` is one product and a finiteness
 check; ``reassemble`` is one product, taken in two slices so that the
 traces of the mixed matrices are judged against the rest of the tensor as
-``sl3.reconstruct_n1`` judges them.
+``sl3.reconstruct_n1`` judges them, and against the rounding that raising
+them with ``g_inv`` leaves, which an anisotropic metric makes far larger
+than the matrices.
 
 Each map is written once, as array functions with leading batch axes:
 ``_split`` lowers the traceless b and c matrices and splits them into
 symmetric halves and vectors, and ``_lowered`` writes a (matrix, vector)
 pair back as the lowered matrix ``sl3`` rebuilds a mixed component from.
 ``so3_split``, ``first_component_from`` and ``second_component_from`` apply
-them to one tensor's values.  The forward matrix is one
-``parts.basis_images`` walk over the 27 basis tensors, for the trace vector,
-the traceless remainder, the pseudo-scalar and the traceless contraction
-matrices, whose b and c rows ``_split`` lowers with ``g``.  The reassembly
-matrix applies ``_lowered`` to the 55 unit representations; its images that
-read no metric (the lowered matrices of the unit mixed-part inputs and the
-mixed components rebuilt from the unit matrices) are computed once per
-process, so compiling it for a new metric multiplies them by ``g_inv``.
-Nothing is compiled at import.
+them to one tensor's values.  The forward matrix reads the compiled
+operators of ``parts``: the trace vector through the metric's whitening,
+and the pseudo-scalar and the traceless contraction matrices, which read
+no metric, as they are; ``_split`` lowers their b and c rows with ``g``.
+Its ``r_part`` columns are the table's ``r_part`` rule on those trace
+vectors, the symmetric part less their pure-trace tensor, which is the
+trace part ``reassemble`` rebuilds from alpha: the two round off alike,
+and the round trip holds to about 1e-15 times the metric's condition
+number.  The whitened ``r_part`` of ``parts.operator`` agrees with it to
+within 1e-15 times the condition number of its size, but rounds off apart
+from that trace part: the round trip through it is off by up to 0.8 on
+unit data at condition 1e9.  The
+reassembly matrix applies ``_lowered`` to the 55 unit representations; its
+images that read no metric (the lowered matrices of the unit mixed-part
+inputs and the mixed components rebuilt from the unit matrices) are
+computed once per process, so compiling it for a new metric multiplies
+them by ``g_inv``.  Nothing is compiled at import.
 """
 
 from __future__ import annotations
@@ -183,13 +193,17 @@ def _unit_images() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _compile_forward(metric: Metric) -> np.ndarray:
-    s_traces, r_part, a_scalars, contractions = parts.basis_images(
-        ("symmetric_traces", "r_part", "pseudo_scalar", "traceless_contractions"), metric)
+    s_traces, symmetric, a_scalars, contractions = (parts.operator(name, metric) for name in (
+        "symmetric_traces", "symmetric", "pseudo_scalar", "traceless_contractions"))
+    # the r_part rule on the whitened traces: the symmetric part less the
+    # trace part that reassemble rebuilds from alpha, so that the two round
+    # off alike
+    pure = parts.from_traces(s_traces.reshape(27, 3, 3), metric.g_inv)
     # the traceless b and c matrices of each basis tensor
     sym, vec = _split(contractions[:, 9:].reshape(27, 2, 3, 3), metric.g)
     return np.concatenate([
         s_traces[:, :3],
-        r_part,
+        symmetric - pure.reshape(27, 27),
         a_scalars,
         sym[:, 0].reshape(27, 9), vec[:, 0], sym[:, 1].reshape(27, 9), vec[:, 1],
     ], axis=1)
@@ -246,8 +260,10 @@ def reassemble(rep: So3Representation, metric: Metric = EUCLIDEAN) -> Tensor3:
     """Invert ``so3_representation``; exact up to rounding.
 
     Each mixed matrix must be traceless against ``g_inv`` to within
-    ``tensor.SPLIT_TOL``, as ``sl3.reconstruct_n1`` requires, with the rest
-    of the tensor, its symmetric part and pseudo-scalar, as ``scale``.
+    ``tensor.SPLIT_TOL``, as ``sl3.reconstruct_n1`` requires, with the
+    larger of the rest of the tensor, its symmetric part and pseudo-scalar,
+    and the entries of ``|lowered| @ |g_inv|``, whose rounding the trace
+    carries, as ``scale``.
     """
     if rep.r_part.variance != "upper":
         raise VarianceError("reassemble expects an upper-variance r_part")
@@ -258,9 +274,11 @@ def reassemble(rep: So3Representation, metric: Metric = EUCLIDEAN) -> Tensor3:
     ])
     matrix = metric.compiled("so3 reassembly", _compile_reassembly, metric)
     rest = values[_REST] @ matrix[_REST]
-    # the mixed matrices carry rounding of the whole tensor's size, so their
-    # traces are judged against the rest of it too
-    mats = _lowered(values[_MATRICES], _SKEW_COEFFS, values[_VECTORS]) @ metric.g_inv
-    sl3.require_traceless(mats, "reassemble", max_abs(rest))
+    # the traces of the mixed matrices carry rounding of the whole tensor's
+    # size and of |lowered| |g_inv|, which an anisotropic metric makes far
+    # larger than the matrices themselves, so they are judged against both
+    lowered = _lowered(values[_MATRICES], _SKEW_COEFFS, values[_VECTORS])
+    sl3.require_traceless(lowered @ metric.g_inv, "reassemble",
+                          max(max_abs(rest), max_abs(np.abs(lowered) @ np.abs(metric.g_inv))))
     mixed = values[_MIXED] @ matrix[_MIXED]
     return Tensor3((rest + mixed).reshape(3, 3, 3), "upper", rep.r_part.parity)

@@ -15,6 +15,7 @@ pick up a ``sign(det R)`` factor under basis change.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,19 +208,34 @@ class Vector3(_TaggedValue):
     _shape, _variances = (3,), VECTOR_VARIANCES
 
 
+#: A metric as a change of basis to the Euclidean frame, for one variance.
+#: On one slot the metric (its inverse, for lower indices) is ``m.T @ m``
+#: times an even power of two, for a factor ``m`` whose entries are near 1 at
+#: any scale of the metric: the transposed Cholesky factor of the metric, for
+#: upper indices, and its inverse transpose, for lower ones.
+#: ``x.reshape(-1, 27) @ forward`` are the components of ``x`` with ``m`` on
+#: every slot, whose plain Euclidean products are the metric's over
+#: ``2**shift``; ``back`` is the inverse of ``forward``, and ``vectors`` maps
+#: the three Euclidean traces of the whitened components, stacked and
+#: flattened to 9, back to the metric traces of ``x``.
+Whitening = namedtuple("Whitening", "shift forward back vectors")
+
+
 @dataclass(frozen=True, eq=False)
 class Metric:
-    """Symmetric positive-definite metric, its inverse and its contraction
-    matrices.
+    """Symmetric positive-definite metric, its inverse and its change of
+    basis to the Euclidean frame.
 
     ``g`` must be exactly symmetric as stored.  The inverse is computed once
     and validated against ``g @ g_inv = I`` to within 1e-12 times the
     condition number of ``g``, the ratio of its extreme eigenvalues, which
-    must be at most 1e10.  Every matrix compiled for this metric, the 27x27
-    contraction matrix of each variance with its power-of-two-scaled form,
-    the operator stacks of ``parts.apply`` and the pair of so3 maps, is
-    computed on first use and kept in the instance's ``_cache``, which only
-    ``compiled`` reads or writes.
+    must be at most 1e10.  Every matrix compiled for this metric, its
+    ``whitening`` for each variance, the absolute-scale contraction matrices
+    and the pair of so3 maps, is computed on first use and kept in the
+    instance's ``_cache``, which only ``compiled`` reads or writes.  The
+    part matrices are not among them: every metric reads the one Euclidean
+    stack of ``parts`` through its whitening, whose Cholesky factor is
+    computed in extended precision where the platform has it.
     """
 
     g: np.ndarray
@@ -245,16 +261,17 @@ class Metric:
     def compiled(self, key, build, *args):
         """The value kept under ``key`` for this metric, built on first use.
 
-        On a miss ``build(*args)`` computes the value; an ndarray is made
-        read-only.  A caller that stored the same key first wins, so every
-        caller gets one object.  Callers pass a module-level ``build``, so a
-        hit builds no closure.
+        On a miss ``build(*args)`` computes the value; an ndarray, and each
+        ndarray of a tuple, is made read-only.  A caller that stored the same
+        key first wins, so every caller gets one object.  Callers pass a
+        module-level ``build``, so a hit builds no closure.
         """
         value = self._cache.get(key)
         if value is None:
             value = build(*args)
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
+            for item in value if isinstance(value, tuple) else (value,):
+                if isinstance(item, np.ndarray):
+                    item.setflags(write=False)
             value = self._cache.setdefault(key, value)
         return value
 
@@ -262,36 +279,47 @@ class Metric:
         """The three-slot metric contraction as a read-only 27x27 matrix on
         flattened components: ``g`` contracts upper indices, ``g_inv`` lower
         ones.  It under- or overflows at metrics far from 1, so the package's
-        own products contract through ``gram`` and ``scaled_contraction``."""
-        return self.compiled(variance, _contraction, self, variance)
+        own products read the ``whitening`` instead."""
+        return self.compiled(variance, _slotwise, self.g if variance == "upper" else self.g_inv)
 
-    def scaled_contraction(self, variance: str) -> tuple[int, np.ndarray]:
-        """``(shift, matrix)``: the contraction of ``variance`` is ``matrix``
-        times ``2**shift``.
-
-        ``matrix`` contracts with ``g`` or ``g_inv`` divided by the even power
-        of two ``4**h`` that brings its max-abs entry into [1/2, 2), and
-        ``shift`` is ``6 h``.  Scaling by a power of two is exact, so the
-        matrix neither under- nor overflows at any scale of the metric, and
-        its entries are exactly the contraction matrix's wherever those do
-        neither.  Kept read-only in the ``_cache``; ``gram`` is its one
-        reader.
-        """
-        return self.compiled(("scaled", variance), _scaled_contraction, self, variance)
+    def whitening(self, variance: str) -> Whitening:
+        """The change of basis to the Euclidean frame for tensors of
+        ``variance``, read-only and kept in the ``_cache``; the Euclidean
+        metric's is exactly the identity."""
+        return self.compiled(("whitening", variance), _whitening, self, variance)
 
 
-def _contraction(metric: Metric, variance: str) -> np.ndarray:
-    shift, scaled = _scaled_contraction(metric, variance)
-    return np.ldexp(scaled, shift)
+def _slotwise(m: np.ndarray) -> np.ndarray:
+    """``m`` acting on each slot, as a 27x27 matrix on flattened components."""
+    return np.einsum("im,jn,kp->ijkmnp", m, m, m).reshape(27, 27)
 
 
-def _scaled_contraction(metric: Metric, variance: str) -> tuple[int, np.ndarray]:
-    g = metric.g if variance == "upper" else metric.g_inv
-    half = math.frexp(max_abs(g))[1] // 2
-    unit = np.ldexp(g, -2 * half)
-    matrix = np.einsum("im,jn,kp->ijkmnp", unit, unit, unit).reshape(27, 27)
-    matrix.setflags(write=False)
-    return 6 * half, matrix
+def _cholesky(g: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor of the 3x3 ``g``, computed in
+    ``np.longdouble`` and rounded once.  The parts read through the factor
+    are as accurate as it is: at condition 1e9, one computed in double
+    precision leaves them about 5e-8 off, the extended one 2e-11 on
+    platforms that have it, and its inverse may be taken in double."""
+    a = g.astype(np.longdouble)
+    lower = np.zeros_like(a)
+    for i, j in ((0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)):
+        rest = a[i, j] - lower[i, :j] @ lower[j, :j]
+        lower[i, j] = np.sqrt(rest) if i == j else rest / lower[j, j]
+    return lower.astype(float)
+
+
+def _whitening(metric: Metric, variance: str) -> Whitening:
+    # g over the even power of two 4**half has its max-abs entry in [1/2, 2)
+    # and is lower @ lower.T; the scaling is exact
+    half = math.frexp(max_abs(metric.g))[1] // 2
+    lower = _cholesky(np.ldexp(metric.g, -2 * half))
+    inverse = np.linalg.inv(lower)
+    # the factor on one slot as row vectors see it (x @ lower is lower.T x),
+    # and its inverse; lower indices see the inverse metric, which is
+    # inverse.T @ inverse over 4**half
+    sign, slot, slot_inv = (1, lower, inverse) if variance == "upper" else (-1, inverse.T, lower.T)
+    vectors = np.einsum("ab,mn->ambn", np.eye(3), np.ldexp(slot_inv, 2 * sign * half))
+    return Whitening(6 * sign * half, _slotwise(slot), _slotwise(slot_inv), vectors.reshape(9, 9))
 
 
 EUCLIDEAN = Metric.euclidean()
@@ -343,41 +371,45 @@ def permute(t: Tensor3, sigma: Perm | str) -> Tensor3:
     return t._with(np.transpose(t.components, perm.transpose_axes()))
 
 
-def gram(rows: np.ndarray, size: float, variance: str, metric: Metric) -> tuple[np.ndarray, int]:
-    """``(scaled, exponent)``: the Gram matrix of the flattened components in
-    the ``(n, 27)`` ``rows`` under the metric contraction of ``variance`` is
-    ``ldexp(scaled, exponent)``, and each row's norm ``ldexp(sqrt(d),
-    exponent // 2)`` of its diagonal entry ``d``.
+def gram(rows: np.ndarray, size: float, shift: int) -> tuple[np.ndarray, int]:
+    """``(scaled, exponent)``: the Gram matrix of the whitened ``(n, 27)``
+    ``rows`` (``Metric.whitening``), the metric products of the tensors
+    they whiten, is ``ldexp(scaled, exponent)``, and each tensor's norm
+    ``ldexp(sqrt(d), exponent // 2)`` of its diagonal entry ``d``.
 
     The rows are scaled by the power of two of ``size``, a max-abs the
-    caller already holds (a report passes its input's, the size of its
-    parts), and contracted with
-    ``Metric.scaled_contraction``; ``exponent`` is even.  Both scalings are
-    exact, so ``scaled`` neither under- nor overflows at any scale of the
-    data and the metric, and is the unscaled product's wherever that does
-    neither.  The two triangles round differently; their mean is exactly
-    symmetric.
+    caller already holds (a report passes its input's), and multiplied
+    plainly; ``shift`` is the whitening's, and ``exponent`` is even.  The
+    scaling is exact, so ``scaled`` neither under- nor overflows at any
+    scale of the data and the metric.  The two triangles round
+    differently; their mean is exactly symmetric.
     """
     _, exponent = math.frexp(size)
-    shift, contraction = metric.scaled_contraction(variance)
     scaled = np.ldexp(rows, -exponent)
-    result = scaled @ contraction @ scaled.T
+    result = scaled @ scaled.T
     return (result + result.T) / 2.0, 2 * exponent + shift
+
+
+def gram_of(tensors, metric: Metric) -> tuple[np.ndarray, int]:
+    """``gram`` of the whitened components of ``tensors``, which must share
+    one variance."""
+    if any(t.variance != tensors[0].variance for t in tensors):
+        raise VarianceError("scalar product requires equal variance")
+    rows = np.array([t.components for t in tensors]).reshape(len(tensors), 27)
+    frame = metric.whitening(tensors[0].variance)
+    return gram(rows @ frame.forward, max_abs(rows), frame.shift)
 
 
 def scalar_product(a: Tensor3, b: Tensor3, metric: Metric = EUCLIDEAN) -> float:
     """Full three-slot contraction of ``a`` and ``b`` through the metric,
     an entry of their ``gram``."""
-    if a.variance != b.variance:
-        raise VarianceError("scalar product requires equal variance")
-    rows = np.array((a.components, b.components)).reshape(2, 27)
-    scaled, exponent = gram(rows, max_abs(rows), a.variance, metric)
+    scaled, exponent = gram_of((a, b), metric)
     return float(np.ldexp(scaled[0, 1], exponent))
 
 
 def norm(t: Tensor3, metric: Metric = EUCLIDEAN) -> float:
     """The metric norm of ``t``, from its ``gram`` as the report takes it."""
-    scaled, exponent = gram(t.components.reshape(1, 27), t.max_abs(), t.variance, metric)
+    scaled, exponent = gram_of((t,), metric)
     return float(np.ldexp(np.sqrt(max(scaled[0, 0], 0.0)), exponent // 2))
 
 

@@ -355,14 +355,13 @@ def test_importing_the_package_compiles_nothing():
     # start-up of every CLI process pays for what import compiles, so every
     # operator, contraction and so3 map is compiled on first use
     code = ("import trideco, trideco.cli\n"
-            "from trideco import parts, so3\n"
-            "print(len(trideco.EUCLIDEAN._cache), parts._free_images.cache_info().currsize, "
-            "so3._unit_images.cache_info().currsize)")
+            "from trideco import so3\n"
+            "print(len(trideco.EUCLIDEAN._cache), so3._unit_images.cache_info().currsize)")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
-    assert proc.stdout.split("\n")[0] == "0 0 0"
+    assert proc.stdout.split("\n")[0] == "0 0"
 
 
 def test_console_entry_point_runs(tmp_path):

@@ -136,10 +136,14 @@ def test_each_public_call_contracts_each_trace_once(rng, monkeypatch):
 
 
 def test_compiling_runs_each_rule_once(monkeypatch):
-    # a fresh process seed: compiling for a first metric runs every rule but
-    # the identity once, the metric-free ones to build the seed; a second
-    # metric runs only the rules that read one; compiling one stack runs
-    # each rule it needs once
+    # the rules run on the Euclidean metric alone: compiling a stack on it
+    # runs each rule the stack needs once, and every other metric reads the
+    # Euclidean stacks through its whitening, so a second and a third
+    # metric run no rule at all, the so3 maps included
+    names = ("k_part", "m_part", "p_part")
+    monkeypatch.delitem(EUCLIDEAN._cache, names, raising=False)
+    for name in parts._RULES:
+        parts.operator(name, EUCLIDEAN)
     runs = {name: 0 for name in parts._RULES}
     for name, part in parts._RULES.items():
 
@@ -148,46 +152,65 @@ def test_compiling_runs_each_rule_once(monkeypatch):
             return rule(*args)
 
         monkeypatch.setitem(parts._RULES, name, part._replace(rule=counted))
-    parts._free_images.cache_clear()
-    try:
-        for metric in (_random_spd_metric(1), _random_spd_metric(2)):
-            parts.basis_images(tuple(parts._RULES), metric)
-        assert runs == {
-            name: (name != "identity") + (name not in parts._METRIC_FREE)
-            for name in parts._RULES
-        }
-        before = dict(runs)
-        parts.apply(("k_part", "m_part", "p_part"), np.zeros((3, 3, 3)), _random_spd_metric(3))
-        assert {name: runs[name] - before[name] for name in runs if runs[name] != before[name]} \
-            == dict.fromkeys(("symmetric_traces", "k_part", "residue_traces", "m_part", "p_part"),
-                             1)
-    finally:
-        # the seed's images came from the counted rules
-        parts._free_images.cache_clear()
-    assert sorted(parts._METRIC_FREE) == sorted(
-        ["identity", "symmetric", "antisymmetric", "residue", "pair_symmetric",
-         "pair_antisymmetric", "piezo_s", "piezo_n", "hall_a", "hall_n", "pseudo_scalar",
-         "traceless_contractions"]
-        + [f"n{member}_{family}" for family in MIXED_PAIRS for member in (1, 2)]
-    )
+    parts.apply(names, np.zeros((3, 3, 3)), EUCLIDEAN)
+    assert {name: count for name, count in runs.items() if count} == dict.fromkeys(
+        ("symmetric", "antisymmetric", "residue", "symmetric_traces", "k_part",
+         "residue_traces", "m_part", "p_part"), 1)
+    runs.update(dict.fromkeys(runs, 0))
+    for metric in (_random_spd_metric(1), _random_spd_metric(2)):
+        parts.apply(names, np.zeros((3, 3, 3)), metric)
+        for name in parts._RULES:
+            parts.operator(name, metric)
+        so3.reassemble(so3.so3_representation(Tensor3.zeros(), metric), metric)
+    assert not any(runs.values())
+
+
+def test_each_rule_has_one_law(rng):
+    # the Hall rules read the metric of lower indices and the other rules
+    # that read one of upper ones; the volume element's invariants have no
+    # law, and every other rule is a tensor rule with no variance
+    laws = parts._LAWS
+    assert set(laws) == set(parts._RULES)
+    assert {name for name, law in laws.items() if law is None} == {
+        "pseudo_scalar", "traceless_contractions"}
+    assert {name for name, law in laws.items() if law and law[0] == "lower"} == {
+        "hall_m", "hall_p", "hall_n_traces"}
+    assert {name for name, law in laws.items() if law and law[1] == "vectors"} == {
+        name for name in parts._RULES if name.endswith("_traces")}
+    # a rule has a variance exactly when its value depends on the metric
+    x = rng.standard_normal((3, 3, 3))
+    under = parts.evaluate(parts._RULES, x, _random_spd_metric(5))
+    for name, euclidean, value in zip(parts._RULES, parts.evaluate(parts._RULES, x, EUCLIDEAN),
+                                      under):
+        assert np.array_equal(euclidean, value) == (laws[name] is None or laws[name][0] is None)
+    # one stack whitens by one law
+    with pytest.raises(ValueError, match="different laws"):
+        parts.apply(("k_part", "hall_m"), x, EUCLIDEAN)
 
 
 def test_operators_are_read_only_and_kept_per_metric():
+    # EUCLIDEAN keeps the one stack of each name tuple; every other metric
+    # keeps its whitening and no stack, and conjugates on each call
     first, second = _random_spd_metric(4), _random_spd_metric(4)
     widths = {"pseudo_scalar": 1}
     for name in parts._RULES:
         matrix = parts.operator(name, first)
         assert matrix.shape == (27, 9 if name.endswith("_traces") else widths.get(name, 27))
         assert not matrix.flags.writeable
-        # every operator is row 0 of the stack its metric keeps for ``(name,)``
-        assert matrix.base is parts._stack((name,), first) is first._cache[name,]
         assert np.array_equal(parts.operator(name, first), matrix)
-        # each metric keeps its own stacks, the same matrices for equal metrics
+        # equal metrics give the same matrices
         assert np.array_equal(parts.operator(name, second), matrix)
+        # the Euclidean whitening is exactly the identity
+        assert np.array_equal(parts.operator(name, EUCLIDEAN), EUCLIDEAN._cache[name,][0][0])
     stack = parts.apply(("k_part", "r_part"), np.zeros((3, 3, 3)), first)
     assert stack.shape == (2, 3, 3, 3)
-    assert not first._cache["k_part", "r_part"].flags.writeable
-    assert parts._stack(("k_part", "r_part"), first) is first._cache["k_part", "r_part"]
+    assert not EUCLIDEAN._cache["k_part", "r_part"][0].flags.writeable
+    assert set(first._cache) == {("whitening", "upper"), ("whitening", "lower")}
+    assert first.whitening("upper") is first._cache["whitening", "upper"]
+    for variance in ("upper", "lower"):
+        frame = EUCLIDEAN.whitening(variance)
+        assert frame.shift == 0
+        assert all(np.array_equal(m, np.eye(len(m))) for m in frame[1:])
 
 
 @pytest.mark.parametrize("metric", ALL_METRICS, ids=METRIC_IDS)

@@ -175,14 +175,13 @@ _INPUTS = {"piezo": unit_pair_symmetric, "hall": unit_pair_antisymmetric}
     [("gl3", 2), ("o3", 2), ("sl3", 2), ("so3", 4), ("piezo", 1), ("hall", 1)],
 )
 def test_each_projection_is_evaluated_once(monkeypatch, rng, level, gathers):
-    # the first report of a process builds the seed of every compile walk,
-    # the basis images of all the metric-free rules, whatever the shape:
-    # that gathers s, a and the six family members, 8 projections, once
-    # each.  The symmetry class gathers the input itself, through no group
-    # algebra element.  Once compiled, the report is one product and gathers
-    # nothing.  The report's own parts refine ``gathers`` of the 8: s and a
-    # at the generic levels, plus the two plain mixed components at so3; the
-    # piezo slice keeps only s and the Hall slice only a.
+    # the first report of a shape compiles its Euclidean stack with one walk
+    # of the rules its parts refine, which gathers each projection they
+    # need once: s and a at the generic levels, plus the two plain mixed
+    # components at so3; the piezo slice keeps only s and the Hall slice
+    # only a.  The symmetry class gathers the input itself, through no
+    # group algebra element.  Every other metric reads that stack through
+    # its whitening, and a compiled report is one product: neither gathers.
     calls = []
     gather = GroupAlgebraElement.on_components
 
@@ -193,16 +192,16 @@ def test_each_projection_is_evaluated_once(monkeypatch, rng, level, gathers):
     t = _INPUTS.get(level, unit_tensor)(rng)
     mode = level if level in _INPUTS else "generic"
     shape, level = level, "o3" if level in _INPUTS else level
-    parts._free_images.cache_clear()
-    monkeypatch.setattr(GroupAlgebraElement, "on_components", counted)
-    metric = Metric(np.eye(3))
-    report.build_report(t, level, mode=mode, metric=metric)
-    assert len(calls) == len(set(calls)) == 8
-    calls.clear()
-    report.build_report(t, level, mode=mode, metric=metric)
-    assert len(calls) == 0
     names = report._OPERATORS[shape, "plain" if shape == "so3" else None]
-    parts.evaluate(names, t.components, metric)
+    monkeypatch.delitem(EUCLIDEAN._cache, names, raising=False)
+    monkeypatch.setattr(GroupAlgebraElement, "on_components", counted)
+    report.build_report(t, level, mode=mode, metric=Metric(np.eye(3)))
+    assert len(calls) == len(set(calls)) == gathers
+    calls.clear()
+    report.build_report(t, level, mode=mode, metric=Metric(np.diag([2.0, 1.0, 1.0])))
+    report.build_report(t, level, mode=mode)
+    assert len(calls) == 0
+    parts.evaluate(names, t.components, EUCLIDEAN)
     assert len(calls) == gathers
 
 

@@ -107,6 +107,16 @@ class TestContractions:
         stacked = np.stack([m.components for m in (parts.a_check, parts.b_check, parts.c_check)])
         assert np.array_equal(stacked, sl3.traceless_contractions(t.components))
 
+    def test_the_pseudo_scalar_is_contracted_once(self, rng, monkeypatch):
+        # the a_scalar field is the pseudo-scalar the traceless forms subtract
+        t = rand_tensor(rng)
+        calls = []
+        contract = sl3.pseudo_scalars
+        monkeypatch.setattr(sl3, "pseudo_scalars", lambda x: calls.append(1) or contract(x))
+        parts = sl3.epsilon_contractions(t)
+        assert len(calls) == 1
+        assert parts.a_scalar == float(contract(t.components))
+
     def test_parity_tags(self, rng):
         parts = sl3.epsilon_contractions(rand_tensor(rng))
         assert parts.b_check.parity == 1

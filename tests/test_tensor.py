@@ -172,21 +172,26 @@ class TestCompiled:
         assert metric.compiled("key", lambda: pytest.fail("built twice")) is inner
 
     def test_each_compiled_matrix_is_one_read_only_object(self):
+        # a metric keeps its contraction, its whitening and the so3 maps;
+        # the part stacks are EUCLIDEAN's alone
         metric = Metric(np.diag([2.0, 1.0, 1.0]))
         t = Tensor3.zeros()
         calls = {
             "upper": lambda: metric.contraction_matrix("upper"),
-            ("k_part", "r_part"): lambda: parts.apply(("k_part", "r_part"), t.components, metric),
+            ("whitening", "upper"): lambda: parts.apply(("k_part", "r_part"), t.components,
+                                                        metric),
             "so3 forward": lambda: so3.so3_representation(t, metric),
             "so3 reassembly": lambda: so3.reassemble(so3.so3_representation(t, metric), metric),
         }
         for key, call in calls.items():
             call()
-            matrix = metric._cache[key]
-            assert not matrix.flags.writeable
+            value = metric._cache[key]
+            matrices = value[1:] if key[0] == "whitening" else (value,)
+            assert not any(matrix.flags.writeable for matrix in matrices)
             call()
-            assert metric._cache[key] is matrix
-            assert metric.compiled(key, lambda: pytest.fail("compiled twice")) is matrix
+            assert metric._cache[key] is value
+            assert metric.compiled(key, lambda: pytest.fail("compiled twice")) is value
+        assert set(metric._cache) == set(calls)
 
 
 class TestNorm:

@@ -161,16 +161,22 @@ def test_one_cache_idiom():
 
 
 def test_one_scaled_metric_product():
-    # every metric product contracts through tensor.gram, which scales the
-    # data and the metric by powers of two; the contraction at absolute scale
-    # under- or overflows at metrics far from 1
+    # every metric product is a plain product of rows whitened by
+    # Metric.whitening, through tensor.gram, which scales the data by a
+    # power of two; the parts are read through the same whitening, and the
+    # contraction at absolute scale, which under- or overflows at metrics
+    # far from 1, is read by no product
     found = set()
     for path in sorted((ROOT / "src/trideco").glob("*.py")):
         for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8"))):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("scaled_contraction", "contraction_matrix")):
+                    and node.func.attr in ("whitening", "contraction_matrix")):
                 found.add((path.name, *scope, node.func.attr))
-    assert found == {("tensor.py", "gram", "scaled_contraction")}
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "gram":
+                found.add((path.name, *scope, "gram"))
+    assert found == {("parts.py", "whitened", "whitening"), ("tensor.py", "gram_of", "whitening"),
+                     ("tensor.py", "gram_of", "gram"), ("report.py", "build_report", "gram")}
 
 
 #: the module-level constants that may hold the relative tolerance 1e-9
@@ -313,11 +319,13 @@ def test_report_digest_runs_the_same_twice():
     assert runs[0] == runs[1]
     source, *lines = runs[0].splitlines()
     assert Path(source).resolve() == (ROOT / "src/trideco/__init__.py").resolve()
-    # report shapes, self-checks, operators and public calls, in that order
-    patterns = ((9, r"\S+ +300 reports, +\d+ rejected  [0-9a-f]{64}"),
+    # report shapes, self-checks, operators and public calls, in that order,
+    # each but the self-checks once per base metric
+    base = r"/(euclid|diag211|spd) +"
+    patterns = ((27, r"\S+" + base + r"\d+ reports, +\d+ rejected  [0-9a-f]{64}"),
                 (3, r"self_check/\d+ +[0-9a-f]{64}"),
-                (len(parts.PARTS), r"operator/\w+ +[0-9a-f]{64}"),
-                (10, r"\S+ +300 calls, +\d+ rejected  [0-9a-f]{64}"))
+                (3 * len(parts.PARTS), r"operator/\w+" + base + r"[0-9a-f]{64}"),
+                (30, r"\S+" + base + r"\d+ calls, +\d+ rejected  [0-9a-f]{64}"))
     assert len(lines) == sum(count for count, _ in patterns)
     for count, pattern in patterns:
         assert all(re.fullmatch(pattern, line) for line in lines[:count]), pattern
