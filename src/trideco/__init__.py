@@ -9,9 +9,14 @@ matrices and a pseudo-scalar).  Pair-symmetric and pair-antisymmetric
 constitutive shapes get their specialized, unique decompositions.  A
 brute-force oracle materializes every linear map as an explicit matrix and
 re-derives every shipped coefficient from its defining relations.
+
+The level modules, the oracle, the report and the file readers are imported
+on first access (``trideco.oracle``, ``from trideco import so3``), so a
+process loads only the modules it uses.
 """
 
-from . import constitutive, gl3, o3, oracle, report, sl3, so3, tensorio
+import importlib
+
 from .permutations import S3, Perm
 from .symmetrizers import (
     FULL_ANTISYMMETRIZER,
@@ -41,6 +46,20 @@ from .tensor import (
 )
 
 __version__ = "0.1.0"
+
+#: the submodules imported on first access
+_SUBMODULES = ("constitutive", "gl3", "o3", "oracle", "report", "sl3", "so3", "tensorio")
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        # the import binds the submodule here, so this runs once per name
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SUBMODULES))
 
 __all__ = [
     "BasisTransform",

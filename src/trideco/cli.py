@@ -8,8 +8,9 @@ on seeded random tensors and the so3 round trip on the basis tensors.
 ``oracle.self_check`` measures and judges every check; the text is rendered
 from the document it returns, and ``--json`` writes that same document.
 
-Exit codes: 0 success, 1 failed self-check, 2 unreadable or malformed input
-or an option out of range, 3 symmetry or variance precondition violation.
+Exit codes: 0 success, 1 failed self-check, 2 unreadable or malformed input,
+an option out of range or a ``--json`` path that cannot be written, 3
+symmetry or variance precondition violation.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 import math
 import sys
 
-from . import oracle, report, tensorio
+from . import report, tensorio
 from .gl3 import FAMILIES
 from .tensor import EUCLIDEAN, SymmetryError, TensorError, VarianceError
 
@@ -68,10 +69,17 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_json(document: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
+def _write_json(document: dict, path: str) -> int:
+    """Write ``document`` to ``path``: 0, or 2 with one error line if the path
+    cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(document, handle, indent=2)
+            handle.write("\n")
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def _render_self_check(check: dict) -> str:
@@ -105,11 +113,14 @@ def _render_self_check(check: dict) -> str:
 
 
 def _self_check(seed: int, json_path: str | None) -> int:
+    # only the self-check reads the oracle, so a report run never imports it
+    from . import oracle
+
     check = oracle.self_check(seed)
     print(_render_self_check(check))
-    if json_path:
-        _write_json({"schema": report.REPORT_SCHEMA, "self_check": check}, json_path)
-    return 0 if not check["failures"] else 1
+    if json_path and _write_json({"schema": report.REPORT_SCHEMA, "self_check": check}, json_path):
+        return 2
+    return 1 if check["failures"] else 0
 
 
 def main(argv=None) -> int:
@@ -148,9 +159,7 @@ def main(argv=None) -> int:
         return 2
 
     print(result.render_text(args.tol), end="")
-    if args.json_path:
-        _write_json(result.to_dict(), args.json_path)
-    return 0
+    return _write_json(result.to_dict(), args.json_path) if args.json_path else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -8,8 +8,9 @@ operator, the Euclidean matrix of one walk of the rules on the 27 stacked
 basis tensors, conjugated by the metric's whitening if the part reads the
 metric, and the dimension ledger is the table's dimensions.
 ``agreements`` checks those matrices against the rule walk under the
-metric itself, one ``parts.evaluate`` of every part per drawn tensor: the
-one place the rules run under a metric other than the Euclidean one.
+metric itself, one ``parts.evaluate`` of every part per block of drawn
+tensors: the one place the rules run under a metric other than the
+Euclidean one.
 Ranks of those matrices check the ledger, matrix algebra checks idempotence and
 complementarity, and least-squares solves, built over the 27 stacked basis
 tensors, recover the closed-form coefficients the package ships: the
@@ -24,7 +25,7 @@ solved, yet no map applies them.  Every reconstruction weight the package
 applies is one of them.
 
 ``so3_round_trip`` judges the so3 representation and its inverse as one
-map: their composition on the basis tensors must be the identity.
+map: the product of their compiled matrices must be the identity.
 
 ``self_check`` runs all of these checks once and returns one JSON-ready
 document holding every measurement and the names of the checks that fail
@@ -370,25 +371,25 @@ def agreements(names, metric: Metric = EUCLIDEAN, seed: int = 0,
                samples: int = 100) -> dict[str, float]:
     """Max deviation, per named part, between the materialized matrix and the
     rule walk over ``samples`` tensors drawn from ``seed``; one ``evaluate``
-    of every named part walks each tensor.  A deviation that is not finite
-    stays NaN or inf, so it fails every bound."""
+    of every named part walks each block of ``_BLOCK`` drawn tensors, as
+    ``parts`` walks the 27 stacked basis tensors.  A deviation that is not
+    finite stays NaN or inf, so it fails every bound."""
+    if samples < 1:
+        raise ValueError(f"an agreement needs at least one drawn tensor, got {samples}")
     names = tuple(names)
     # the same draws as ``samples`` successive ``random_components`` calls
     arrays = np.random.default_rng(seed).uniform(-1.0, 1.0, (samples, 3, 3, 3))
     flat = arrays.reshape(samples, 27)
     matrices = [materialize(name, metric).matrix.T for name in names]
     worst = np.zeros(len(names))
-    images = np.empty((_BLOCK, len(names), 3, 3, 3))
     for start in range(0, samples, _BLOCK):
-        block = arrays[start:start + _BLOCK]
+        walked = evaluate(names, arrays[start:start + _BLOCK], metric)
         # each part's product over all draws, of which this block's rows are
         # kept: a product over fewer rows can round differently, and keeping
         # every part's whole product would raise the peak memory instead
-        for j, matrix in enumerate(matrices):
-            images[:len(block), j] = (flat @ matrix)[start:start + _BLOCK].reshape(-1, 3, 3, 3)
-        for image, arr in zip(images, block):
-            deviations = np.abs(image - evaluate(names, arr, metric)).max(axis=(1, 2, 3))
-            worst = np.maximum(worst, deviations)
+        worst = np.maximum(worst, [
+            np.abs((flat @ matrix)[start:start + _BLOCK] - value.reshape(len(value), 27)).max()
+            for matrix, value in zip(matrices, walked)])
     return dict(zip(names, worst.tolist()))
 
 
@@ -399,15 +400,24 @@ def agreement(op_name: str, metric: Metric = EUCLIDEAN, seed: int = 0,
     return agreements((op_name,), metric, seed, samples)[op_name]
 
 
+#: the tensor of the public so3 round trip: every component is nonzero, and
+#: the largest is 1
+_ROUND_TRIP_TENSOR = np.cos(np.arange(27.0)).reshape(3, 3, 3)
+
+
 def so3_round_trip(metric: Metric = EUCLIDEAN) -> float:
-    """Max deviation of ``so3.reassemble(so3.so3_representation(e_c))`` from
-    ``e_c`` over the 27 basis tensors ``e_c``: the so3 representation and its
-    inverse judged as one map, which must be the identity.  A deviation that
-    is not finite stays NaN or inf."""
-    basis = np.eye(27).reshape(27, 3, 3, 3)
-    rebuilt = [so3.reassemble(so3.so3_representation(Tensor3(e), metric), metric).components
-               for e in basis]
-    return float(np.max(np.abs(np.array(rebuilt) - basis)))
+    """Max deviation from the identity of the metric's compiled so3 forward
+    matrix times its reassembly matrix, whose row ``c`` is the round trip
+    of basis tensor ``c``: the so3 representation and its inverse judged as
+    one map.  One public ``so3.reassemble(so3.so3_representation(t))`` of
+    a fixed tensor ``t`` runs the wrappers' checks and counts too.  A
+    deviation that is not finite stays NaN or inf."""
+    rebuilt = so3.reassemble(so3.so3_representation(Tensor3(_ROUND_TRIP_TENSOR), metric), metric)
+    # the round trip compiled both matrices
+    forward = metric.compiled("so3 forward", so3._compile_forward, metric)
+    reassembly = metric.compiled("so3 reassembly", so3._compile_reassembly, metric)
+    return float(np.maximum(np.max(np.abs(forward @ reassembly - np.eye(27))),
+                            np.max(np.abs(rebuilt.components - _ROUND_TRIP_TENSOR))))
 
 
 def dimension_report(metric: Metric = EUCLIDEAN) -> list[tuple[str, int, int]]:

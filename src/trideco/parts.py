@@ -37,8 +37,8 @@ the same arithmetic; a report also takes its Gram matrix from the whitened
 parts, where the metric products are plain ones.  ``operator(name,
 metric)`` is the part held as a matrix, computed on each call: the oracle's
 ``materialize`` returns it, and its ``agreements`` checks those matrices
-against the walk run on one drawn tensor at a time, where one ``evaluate``
-of every part serves all of them.  ``so3`` compiles its forward map from
+against the walk run on one block of drawn tensors at a time, where one
+``evaluate`` of every part serves all of them.  ``so3`` compiles its forward map from
 ``operator`` too.  A public function handed a part already split
 (``o3.s_trace_split`` and its siblings) applies the trace kernels below to
 it.  The oracle's least-squares solves never evaluate the rules: they

@@ -195,6 +195,19 @@ class TestExitCodes:
         assert captured.out == ""
         assert "Gram matrix of the parts is not finite" in captured.err
 
+    @pytest.mark.parametrize("target", ["missing-folder", "folder"])
+    @pytest.mark.parametrize("run", ["report", "self-check"])
+    def test_json_path_that_cannot_be_written_is_exit_2(self, tmp_path, eps_file, run, target,
+                                                        capsys):
+        json_path = tmp_path / "missing" / "x.json" if target == "missing-folder" else tmp_path
+        argv = ["--input", eps_file] if run == "report" else ["--self-check"]
+        assert main([*argv, "--json", str(json_path)]) == 2
+        captured = capsys.readouterr()
+        # the text is printed before the document is written
+        assert captured.out
+        assert captured.err.startswith(f"error: cannot write {json_path}: ")
+        assert len(captured.err.splitlines()) == 1
+
     @pytest.mark.parametrize("flag", ["--input", "--metric", "--voigt"])
     def test_file_that_is_not_utf8_is_exit_2(self, tmp_path, rng, flag, capsys):
         path = tmp_path / "utf16.json"
@@ -362,6 +375,28 @@ def test_importing_the_package_compiles_nothing():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     assert proc.stdout.split("\n")[0] == "0 0"
+
+
+def test_importing_the_cli_loads_no_level_module_or_oracle():
+    # a report run reads neither the oracle nor the o3 and so3 modules, so
+    # its start-up does not import them
+    code = ("import sys, trideco.cli\n"
+            "print(*[name for name in ('trideco.oracle', 'trideco.o3', 'trideco.so3')\n"
+            "        if name in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout == "\n"
+
+
+def test_the_package_resolves_its_submodules_on_first_access():
+    import trideco
+
+    assert set(trideco.__all__) <= set(dir(trideco))
+    assert trideco.oracle is oracle and trideco.so3 is so3
+    with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+        trideco.nothing
 
 
 def test_console_entry_point_runs(tmp_path):

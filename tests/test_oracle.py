@@ -217,32 +217,53 @@ class TestAgreement:
     @pytest.mark.parametrize("seed", [0, 12345])
     @pytest.mark.parametrize("metric", METRICS, ids=METRIC_IDS)
     def test_one_walk_per_tensor_matches_a_walk_per_part(self, metric, seed):
-        # the reference: a walk of each part alone on each drawn tensor
+        # the reference: a walk of each part alone on each block of drawn tensors
         arrays = np.random.default_rng(seed).uniform(-1.0, 1.0, (100, 3, 3, 3))
+        blocks = range(0, 100, oracle._BLOCK)
         expected = {}
         for name in oracle.operator_names():
             matrix = oracle.materialize(name, metric).matrix
             images = (arrays.reshape(100, 27) @ matrix.T).reshape(100, 3, 3, 3)
             expected[name] = max(
-                float(np.max(np.abs(image - parts.evaluate((name,), arr, metric)[0])))
-                for arr, image in zip(arrays, images))
+                float(np.max(np.abs(images[start:start + oracle._BLOCK] - parts.evaluate(
+                    (name,), arrays[start:start + oracle._BLOCK], metric)[0])))
+                for start in blocks)
         assert oracle.agreements(oracle.operator_names(), metric, seed) == expected
 
     def test_a_deviation_that_is_not_finite_stays_failed(self, monkeypatch):
-        # a NaN on the first draw must survive the later, finite ones
+        # a NaN in the first block must survive the later, finite ones
         walk = oracle.evaluate
         walked = []
 
         def first_walk_nan(names, x, metric):
             values = walk(names, x, metric)
-            walked.append(x)
+            walked.append(len(x))
             return [np.full_like(value, np.nan) if len(walked) == 1 and name == "k_part"
                     else value for name, value in zip(names, values)]
 
         monkeypatch.setattr(oracle, "evaluate", first_walk_nan)
-        worst = oracle.agreements(("symmetric", "k_part"), samples=5)
-        assert len(walked) == 5
+        worst = oracle.agreements(("symmetric", "k_part"), samples=45)
+        assert walked == [20, 20, 5]
         assert worst["symmetric"] < 1e-12 and np.isnan(worst["k_part"])
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_an_agreement_needs_a_drawn_tensor(self, samples):
+        with pytest.raises(ValueError, match="at least one drawn tensor"):
+            oracle.agreement("k_part", samples=samples)
+
+    def test_the_self_check_walks_each_block_once_and_reassembles_once(self, monkeypatch):
+        calls = {"evaluate": 0, "reassemble": 0}
+
+        def counted(name, function):
+            def call(*args):
+                calls[name] += 1
+                return function(*args)
+            return call
+
+        monkeypatch.setattr(oracle, "evaluate", counted("evaluate", oracle.evaluate))
+        monkeypatch.setattr(so3, "reassemble", counted("reassemble", so3.reassemble))
+        assert oracle.self_check(0)["failures"] == []
+        assert calls == {"evaluate": 5, "reassemble": 1}
 
 
 class TestPublicCalls:

@@ -123,7 +123,8 @@ def test_reconstruction_solves_use_no_shipped_closed_form():
 
 def test_agreement_checks_the_compiled_matrix_against_the_rule_walk():
     # the matrices come from the compiled operators; the parts they are
-    # checked against must come from the rule walk, one tensor at a time
+    # checked against must come from the rule walk, one block of drawn
+    # tensors at a time
     tree = ast.parse((ROOT / "src/trideco/oracle.py").read_text(encoding="utf-8"))
     (agreements,) = [
         node for node in tree.body
