@@ -42,7 +42,7 @@ import numpy as np
 
 from . import constitutive, gl3, so3
 from .parts import _TRACE_WEIGHTS, PARTS, evaluate, operator
-from .parts import antisymmetric, mixed, residue, symmetric
+from .parts import antisymmetric, mixed, pair_antisymmetric, pair_symmetric, residue, symmetric
 from .sl3 import EPSILON, RECONSTRUCTION_COEFF
 from .tensor import EUCLIDEAN, Metric, Tensor3
 
@@ -175,16 +175,12 @@ class ReconstructionSolve:
     system_rank: int
 
 
-def _projected_basis(project, slice_name: str | None = None) -> np.ndarray:
-    """``project`` of the 27 stacked basis tensors, first restricted to the
-    named slice; ``project`` is a group-algebra projection on stacked
-    components."""
+def _projected_basis(project, restrict=None) -> np.ndarray:
+    """``project`` of the 27 stacked basis tensors, first restricted to a
+    slice by ``restrict``, ``pair_symmetric`` or ``pair_antisymmetric``;
+    both are projections on stacked components."""
     basis = np.eye(27).reshape(27, 3, 3, 3)
-    if slice_name == "pair_symmetric":
-        basis = (basis + np.swapaxes(basis, -1, -2)) / 2.0
-    elif slice_name == "pair_antisymmetric":
-        basis = (basis - np.swapaxes(basis, -3, -2)) / 2.0
-    return project(basis)
+    return project(basis if restrict is None else restrict(basis))
 
 
 def _residue(x: np.ndarray) -> np.ndarray:
@@ -239,10 +235,11 @@ def _placed(v: np.ndarray, m_inv: np.ndarray) -> np.ndarray:
     return np.stack([np.einsum(place, v, m_inv) for place in places], axis=1)
 
 
-def _plain_member(first: bool, slice_name: str | None = None):
+def _plain_member(first: bool, restrict=None):
     """The plain-family member symmetric in slots 1,2 (``first``) or 1,3 of
-    each basis tensor, and the member's alternating contraction."""
-    n = _projected_basis(lambda x: mixed(x, "plain", 0 if first else 1), slice_name)
+    each basis tensor, restricted as in ``_projected_basis``, and the
+    member's alternating contraction."""
+    n = _projected_basis(lambda x: mixed(x, "plain", 0 if first else 1), restrict)
     return n, np.einsum("ijk,bkmj->bim" if first else "ijk,bjkm->bim", EPSILON, n)
 
 
@@ -281,7 +278,7 @@ def solve_reconstruction(system: str, metric: Metric = EUCLIDEAN) -> Reconstruct
     elif system in ("first_skew_from_trace", "second_skew_from_trace", "piezo_skew_from_trace"):
         first = system != "second_skew_from_trace"
         # a member's matrix is the mixed part's: the other member's vanishes
-        n, mat = _plain_member(first, "pair_symmetric" if system.startswith("piezo") else None)
+        n, mat = _plain_member(first, pair_symmetric if system.startswith("piezo") else None)
         # the trace over the slot pair the member is symmetric in
         features, target = _skew(mat, g, np.einsum(_PAIR_TRACES[0 if first else 1], g, n))
         labels = ("weight",)
@@ -308,7 +305,7 @@ def solve_reconstruction(system: str, metric: Metric = EUCLIDEAN) -> Reconstruct
         labels = _WEIGHT_LABELS
 
     elif system == "piezo_n_from_matrix":
-        target = _projected_basis(_residue, "pair_symmetric")
+        target = _projected_basis(_residue, pair_symmetric)
         mat = np.einsum("ijk,bkmj->bim", EPSILON, target)
         features = np.einsum("bpm,kpj->bkmj", mat, EPSILON) + np.einsum(
             "bpj,kpm->bkmj", mat, EPSILON
@@ -316,7 +313,7 @@ def solve_reconstruction(system: str, metric: Metric = EUCLIDEAN) -> Reconstruct
         labels = ("weight",)
 
     elif system in ("hall_n_from_matrix", "hall_skew_from_trace"):
-        n = _projected_basis(_residue, "pair_antisymmetric")
+        n = _projected_basis(_residue, pair_antisymmetric)
         mat = np.einsum("ijk,bmjk->bim", EPSILON, n)
         if system == "hall_n_from_matrix":
             features, target = _epsilon_terms(mat), n
@@ -372,24 +369,21 @@ def agreements(names, metric: Metric = EUCLIDEAN, seed: int = 0,
     """Max deviation, per named part, between the materialized matrix and the
     rule walk over ``samples`` tensors drawn from ``seed``; one ``evaluate``
     of every named part walks each block of ``_BLOCK`` drawn tensors, as
-    ``parts`` walks the 27 stacked basis tensors.  A deviation that is not
-    finite stays NaN or inf, so it fails every bound."""
+    ``parts`` walks the 27 stacked basis tensors, and one product applies
+    the stacked matrices to the block.  A deviation that is not finite stays
+    NaN or inf, so it fails every bound."""
     if samples < 1:
         raise ValueError(f"an agreement needs at least one drawn tensor, got {samples}")
     names = tuple(names)
     # the same draws as ``samples`` successive ``random_components`` calls
     arrays = np.random.default_rng(seed).uniform(-1.0, 1.0, (samples, 3, 3, 3))
-    flat = arrays.reshape(samples, 27)
-    matrices = [materialize(name, metric).matrix.T for name in names]
+    matrices = np.array([materialize(name, metric).matrix.T for name in names])
     worst = np.zeros(len(names))
     for start in range(0, samples, _BLOCK):
-        walked = evaluate(names, arrays[start:start + _BLOCK], metric)
-        # each part's product over all draws, of which this block's rows are
-        # kept: a product over fewer rows can round differently, and keeping
-        # every part's whole product would raise the peak memory instead
-        worst = np.maximum(worst, [
-            np.abs((flat @ matrix)[start:start + _BLOCK] - value.reshape(len(value), 27)).max()
-            for matrix, value in zip(matrices, walked)])
+        block = arrays[start:start + _BLOCK]
+        walked = np.array(evaluate(names, block, metric)).reshape(len(names), len(block), 27)
+        deviations = np.abs(block.reshape(-1, 27) @ matrices - walked).max(axis=(1, 2))
+        worst = np.maximum(worst, deviations)
     return dict(zip(names, worst.tolist()))
 
 

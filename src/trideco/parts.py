@@ -43,16 +43,18 @@ against the walk run on one block of drawn tensors at a time, where one
 (``o3.s_trace_split`` and its siblings) applies the trace kernels below to
 it.  The oracle's least-squares solves never evaluate the rules: they
 apply the kernels ``symmetric``, ``antisymmetric``, ``residue`` and
-``mixed``, which read no table, to the 27 stacked basis tensors.
+``mixed``, which read no table, to the 27 stacked basis tensors, restricted
+to a slice by the kernels ``pair_symmetric`` and ``pair_antisymmetric``.
 
 Every trace part is one projection.  A pure-trace tensor holds a vector in
 one slot and the inverse metric on the other two; ``traces(x, m)`` stacks
-the three traces of ``x`` and ``from_traces(t, m_inv)`` is the pure-trace
-tensor with traces ``t``.  Their composition projects onto the pure-trace
-tensors and commutes with every slot permutation, so it is the trace part
-of ``symmetric``, ``residue``, each plain-family member and the piezo and
-Hall mixed parts alike.  Each of these has a ``<name>_traces`` entry
-outside the ledger, which its trace part and the public calls' trace
+the three pair contractions of ``x`` with ``m``, and ``from_traces(t,
+m_inv)``, the pure-trace tensor with traces ``t``, sums the three
+placements of its slot vectors.  Their composition projects onto the
+pure-trace tensors and commutes with every slot permutation, so it is the
+trace part of ``symmetric``, ``residue``, each plain-family member and the
+piezo and Hall mixed parts alike.  Each of these has a ``<name>_traces``
+entry outside the ledger, which its trace part and the public calls' trace
 vectors both read, so each trace is contracted once.  The slot weights
 ``_TRACE_WEIGHTS`` invert the traces of the three placements; the
 oracle's ``trace_weights`` solve finds them independently.
@@ -81,30 +83,20 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .sl3 import pseudo_scalars, traceless_contractions
-from .symmetrizers import _SLOT_ACTION, FULL_ANTISYMMETRIZER, FULL_SYMMETRIZER, MIXED_PAIRS
+from .symmetrizers import FULL_ANTISYMMETRIZER, FULL_SYMMETRIZER, MIXED_PAIRS
 from .tensor import EUCLIDEAN, Metric
 
-#: rows of the identity, (23) and (132) slot actions: the first two slots of
-#: each gathered copy are the pair (1,2), (1,3) or (2,3) of the input
-_TRACE_GATHER = _SLOT_ACTION[[0, 3, 5]]
 #: ``_TRACE_WEIGHTS @ t`` are the vectors of slots 1, 2 and 3 of the pure-trace
 #: tensor with traces ``t``: a vector in slot 1, 2 or 3 has traces (1, 1, 3),
 #: (1, 3, 1) or (3, 1, 1) times itself, and these weights invert that matrix
 _TRACE_WEIGHTS = np.array([[-1.0, -1.0, 4.0], [-1.0, 4.0, -1.0], [4.0, -1.0, -1.0]]) / 10.0
-_I, _J, _K = np.indices((3, 3, 3)).reshape(3, 27)
-#: row ``a`` gives, for each flattened component (i, j, k), the entry of the
-#: flattened slot vectors that slot ``a`` holds there, and the entry of the
-#: flattened inverse metric that the other two slots hold
-_SLOT_ENTRY = np.stack([_I, 3 + _J, 6 + _K])
-_OTHER_ENTRY = np.stack([3 * _J + _K, 3 * _I + _K, 3 * _I + _J])
 
 
 def traces(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     """The traces of ``x`` over slot pairs (1,2), (1,3) and (2,3), contracted
     with the matrix ``m`` and stacked as ``(..., 3, 3)``."""
-    batch = x.shape[:-3]
-    gathered = x.reshape(batch + (27,))[..., _TRACE_GATHER]
-    return m.reshape(9) @ gathered.reshape(batch + (3, 9, 3))
+    pairs = ("ij,...ijk->...k", "ik,...ijk->...j", "jk,...ijk->...i")
+    return np.stack([np.einsum(pair, m, x) for pair in pairs], axis=-2)
 
 
 def from_traces(t: np.ndarray, m_inv: np.ndarray) -> np.ndarray:
@@ -115,11 +107,9 @@ def from_traces(t: np.ndarray, m_inv: np.ndarray) -> np.ndarray:
     pure-trace tensors and leaves a traceless rest.
     """
     v = _TRACE_WEIGHTS @ t
-    batch = v.shape[:-2]
-    # at (i, j, k): v[0, i] m_inv[j, k] + v[1, j] m_inv[i, k] + v[2, k] m_inv[i, j],
-    # all three products in one gather and one multiplication
-    terms = v.reshape(batch + (9,))[..., _SLOT_ENTRY] * m_inv.reshape(9)[_OTHER_ENTRY]
-    return (terms[..., 0, :] + terms[..., 1, :] + terms[..., 2, :]).reshape(batch + (3, 3, 3))
+    return (np.einsum("...i,jk->...ijk", v[..., 0, :], m_inv)
+            + np.einsum("...j,ik->...ijk", v[..., 1, :], m_inv)
+            + np.einsum("...k,ij->...ijk", v[..., 2, :], m_inv))
 
 
 def plain_trace_vectors(t: np.ndarray):

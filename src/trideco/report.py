@@ -10,7 +10,8 @@ two of the input's max-abs component: it gives every norm, share and
 ``gram`` entry at any scale of the data and the metric, at any condition
 number of the metric that ``Metric`` accepts (up to 1e10), and is checked
 for finiteness once; the report's ``gram`` is scaled back, and may
-underflow.  Each part's tensor is a read-only view of its value in the
+underflow; it is read-only, and ``to_dict`` returns a new document on each
+call.  Each part's tensor is a read-only view of its value in the
 input's coordinates, the public calls' own: ``x`` times its matrix for a
 part that reads no metric, its whitened row mapped back for one that does.
 Those mapped back carry the rounding of that change of basis, which grows
@@ -130,7 +131,7 @@ class DecompositionReport:
     def to_dict(self) -> dict:
         document = {
             "schema": REPORT_SCHEMA,
-            "input": self.input_summary,
+            "input": dict(self.input_summary),
             "level": self.level,
             "mode": self.mode,
             "parts": [
@@ -227,6 +228,7 @@ def build_report(
     if not np.isfinite(full).all():
         raise TensorError("report overflows: the Gram matrix of the parts is not finite "
                           f"(max-abs component {size:.3e})")
+    full.setflags(write=False)
     scaled_norms = np.sqrt(np.maximum(scaled.diagonal(), 0.0))
     norms = np.ldexp(scaled_norms, exponent // 2)
     total_sq = scaled_norms[-1] ** 2

@@ -43,16 +43,14 @@ number.  The whitened ``r_part`` of ``parts.operator`` agrees with it to
 within 1e-15 times the condition number of its size, but rounds off apart
 from that trace part: the round trip through it is off by up to 0.8 on
 unit data at condition 1e9.  The
-reassembly matrix applies ``_lowered`` to the 55 unit representations; its
-images that read no metric (the lowered matrices of the unit mixed-part
-inputs and the mixed components rebuilt from the unit matrices) are
-computed once per process, so compiling it for a new metric multiplies
-them by ``g_inv``.  Nothing is compiled at import.
+reassembly matrix applies ``_lowered`` to the 55 unit representations:
+each compile lowers the unit mixed-part inputs, raises them with
+``g_inv`` and multiplies them by the mixed components rebuilt from the unit
+matrices.  Nothing is compiled at import.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,24 +172,6 @@ class So3Representation:
                               "and the matrices must have the other")
 
 
-@functools.cache
-def _unit_images() -> tuple[np.ndarray, np.ndarray]:
-    """What the reassembly matrix is built from that no metric changes,
-    computed on first use: the lowered matrices of the 24 unit mixed-part
-    inputs (e_mat, beta, f_mat and gamma, stacked over the two components),
-    and the first and second mixed components rebuilt from the 9 unit
-    matrices, as one 18x27 matrix."""
-    units = np.eye(9).reshape(9, 3, 3)
-    sym, vec = np.zeros((24, 2, 3, 3)), np.zeros((24, 2, 3))
-    sym[:9, 0], vec[9:12, 0], sym[12:21, 1], vec[21:, 1] = units, np.eye(3), units, np.eye(3)
-    rebuilt = [sl3.from_matrix(units, w).reshape(9, 27) for w in (sl3.N1_WEIGHTS,
-                                                                   sl3.N2_WEIGHTS)]
-    images = (_lowered(sym, _SKEW_COEFFS, vec), np.concatenate(rebuilt))
-    for image in images:
-        image.setflags(write=False)
-    return images
-
-
 def _compile_forward(metric: Metric) -> np.ndarray:
     s_traces, symmetric, a_scalars, contractions = (parts.operator(name, metric) for name in (
         "symmetric_traces", "symmetric", "pseudo_scalar", "traceless_contractions"))
@@ -210,11 +190,18 @@ def _compile_forward(metric: Metric) -> np.ndarray:
 
 
 def _compile_reassembly(metric: Metric) -> np.ndarray:
-    lowered, rebuilt = _unit_images()
     # a fully symmetric tensor has the same trace alpha over every pair
     pure_traces = parts.from_traces(np.broadcast_to(np.eye(3)[:, None, :], (3, 3, 3)),
                                     metric.g_inv)
-    mixed = (lowered @ metric.g_inv).reshape(24, 18) @ rebuilt
+    # the lowered matrices of the 24 unit mixed-part inputs (e_mat, beta,
+    # f_mat and gamma, stacked over the two components), and the first and
+    # second mixed components rebuilt from the 9 unit matrices
+    units = np.eye(9).reshape(9, 3, 3)
+    sym, vec = np.zeros((24, 2, 3, 3)), np.zeros((24, 2, 3))
+    sym[:9, 0], vec[9:12, 0], sym[12:21, 1], vec[21:, 1] = units, np.eye(3), units, np.eye(3)
+    rebuilt = np.concatenate([sl3.from_matrix(units, w).reshape(9, 27)
+                              for w in (sl3.N1_WEIGHTS, sl3.N2_WEIGHTS)])
+    mixed = (_lowered(sym, _SKEW_COEFFS, vec) @ metric.g_inv).reshape(24, 18) @ rebuilt
     return np.concatenate([pure_traces.reshape(3, 27), np.eye(27), EPSILON.reshape(1, 27),
                            mixed])
 

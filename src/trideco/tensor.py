@@ -414,8 +414,9 @@ def norm(t: Tensor3, metric: Metric = EUCLIDEAN) -> float:
 
 
 def _on_slots(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The matrix ``m`` applied to each of the three slots of ``x``."""
-    return np.einsum("im,jn,kp,mnp->ijk", m, m, m, x)
+    """The matrix ``m`` applied to each of the three slots of ``x``, by the
+    27x27 matrix of ``_slotwise``."""
+    return (_slotwise(m) @ x.reshape(27)).reshape(3, 3, 3)
 
 
 def require_upper(t: Tensor3, what: str) -> None:

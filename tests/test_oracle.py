@@ -217,17 +217,19 @@ class TestAgreement:
     @pytest.mark.parametrize("seed", [0, 12345])
     @pytest.mark.parametrize("metric", METRICS, ids=METRIC_IDS)
     def test_one_walk_per_tensor_matches_a_walk_per_part(self, metric, seed):
-        # the reference: a walk of each part alone on each block of drawn tensors
+        # the reference: a walk of each part alone on each block of drawn
+        # tensors, against the same product of the block with the stacked
+        # matrices
+        names = oracle.operator_names()
         arrays = np.random.default_rng(seed).uniform(-1.0, 1.0, (100, 3, 3, 3))
-        blocks = range(0, 100, oracle._BLOCK)
-        expected = {}
-        for name in oracle.operator_names():
-            matrix = oracle.materialize(name, metric).matrix
-            images = (arrays.reshape(100, 27) @ matrix.T).reshape(100, 3, 3, 3)
-            expected[name] = max(
-                float(np.max(np.abs(images[start:start + oracle._BLOCK] - parts.evaluate(
-                    (name,), arrays[start:start + oracle._BLOCK], metric)[0])))
-                for start in blocks)
+        matrices = np.array([oracle.materialize(name, metric).matrix.T for name in names])
+        expected = dict.fromkeys(names, 0.0)
+        for start in range(0, 100, oracle._BLOCK):
+            block = arrays[start:start + oracle._BLOCK]
+            images = (block.reshape(-1, 27) @ matrices).reshape(len(names), -1, 3, 3, 3)
+            for name, image in zip(names, images):
+                walked = parts.evaluate((name,), block, metric)[0]
+                expected[name] = max(expected[name], float(np.max(np.abs(image - walked))))
         assert oracle.agreements(oracle.operator_names(), metric, seed) == expected
 
     def test_a_deviation_that_is_not_finite_stays_failed(self, monkeypatch):

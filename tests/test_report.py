@@ -157,6 +157,15 @@ class TestBuildReport:
             assert result.to_dict() == report.build_report(t, level, mode=mode).to_dict()
             assert result.family == ("plain" if (level, mode) == ("so3", "generic") else None)
 
+    def test_a_report_cannot_be_changed_through_its_document_or_gram(self, rng):
+        result = report.build_report(unit_tensor(rng), level="o3")
+        text = result.render_text()
+        document = result.to_dict()
+        document["input"]["norm"] = -1.0
+        assert result.render_text() == text
+        assert not result.gram.flags.writeable
+        assert all(not p.tensor.components.flags.writeable for p in result.parts)
+
     def test_text_rendering_mentions_nonorthogonality(self, rng):
         # the flag is relative to the largest Gram diagonal, so it holds at any scale
         for scale in (1.0, 1e8, 1e-150):

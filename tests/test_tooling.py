@@ -3,9 +3,11 @@ the trace weights on more than one metric, the oracle's independence from the
 shipped closed forms, the one cache idiom of the compiled matrices, the one
 scaled metric product, the callables the benchmark's traced runs wrap, the
 one parity rule of the volume-element layer, the one split tolerance and
-variance check, the code-line counter and the report digest."""
+variance check, the code-line counter, the report digest and the README's
+references to module names."""
 
 import ast
+import importlib
 import importlib.util
 import os
 import re
@@ -211,11 +213,12 @@ def test_one_split_tolerance_and_one_variance_check():
 
 
 #: the projections the oracle calls, per module: solve_reconstruction applies
-#: the parts kernels to the stacked basis, and the oracle's sampling the gl3
-#: projections
+#: the parts kernels to the stacked basis, restricted by the slice kernels,
+#: and the oracle's sampling the gl3 projections
 _ORACLE_PROJECTIONS = {
     "gl3": {"symmetric_part", "antisymmetric_part", "residue_part", "n_split"},
-    "parts": {"symmetric", "antisymmetric", "residue", "mixed"},
+    "parts": {"symmetric", "antisymmetric", "residue", "mixed", "pair_symmetric",
+              "pair_antisymmetric"},
 }
 
 
@@ -331,3 +334,28 @@ def test_report_digest_runs_the_same_twice():
     for count, pattern in patterns:
         assert all(re.fullmatch(pattern, line) for line in lines[:count]), pattern
         lines = lines[count:]
+
+
+#: a backticked dotted name in README.md, maybe called: ``parts.whitened``,
+#: ``trideco.parts.PARTS`` or ``parts.traces(x, m)``
+_README_REFERENCE = re.compile(r"`(?:trideco\.)?([a-z0-9_]+)((?:\.[A-Za-z_]\w*)+)(?:\([^`]*\))?`")
+
+
+def test_every_module_reference_in_the_readme_resolves():
+    # a name deleted from a module must not live on in the README
+    modules = {path.stem for path in (ROOT / "src/trideco").glob("*.py")} - {"__init__"}
+    references = [
+        (module, attributes)
+        for module, attributes in _README_REFERENCE.findall(
+            (ROOT / "README.md").read_text(encoding="utf-8"))
+        if module in modules
+    ]
+    assert len(references) > 30
+    stale = []
+    for module, attributes in references:
+        owner = importlib.import_module(f"trideco.{module}")
+        for attribute in attributes.split(".")[1:]:
+            owner = getattr(owner, attribute, None)
+        if owner is None:
+            stale.append(module + attributes)
+    assert not stale
